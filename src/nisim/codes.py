@@ -4,8 +4,13 @@ A code is a nonempty set of n-bit words, stored as a strictly increasing tuple
 of integers.  Bit i of a word is coordinate i+1 of the corresponding point of
 {-1,+1}^n under the convention bit=1 <-> +1.  The symmetry group of the cube
 (coordinate permutations composed with coordinate flips) acts on codes; for
-small n we can canonicalize a code, or a pair of codes jointly, to a
-lexicographically minimal orbit representative.
+n <= MAX_CANONICAL_DIM = 6 a code, or a pair of codes jointly, canonicalizes to
+a lexicographically minimal orbit representative.
+
+Canonicalization uses a 64-bit key: word w of a code sets bit 2^n-1-w.  Among
+codes of one size the smallest sorted word list has the largest key, so the
+canonical form is the largest key over the orbit, and a canonical pair is the
+lexicographic maximum of (key of a, key of b) under one group element.
 """
 
 from __future__ import annotations
@@ -177,51 +182,69 @@ def _group_elements(n: int) -> tuple[CubeSymmetry, ...]:
     return tuple(out)
 
 
+# Flipping coordinate j XORs each key bit index with 2^j: the bits whose index
+# has bit j clear (the mask) swap with the bits 2^j above them.
+_FLIPS = tuple(
+    (np.uint64(1 << j), np.uint64(sum(1 << i for i in range(64) if not i >> j & 1)))
+    for j in range(MAX_CANONICAL_DIM)
+)
+
+
+def _code_keys(n: int, words: np.ndarray) -> np.ndarray:
+    """Key of each code whose words fill the last axis: bit 2^n-1-w per word w."""
+    return (np.uint64(1) << ((1 << n) - 1 - words).astype(np.uint64)).sum(axis=-1)
+
+
+def _flip_all(keys: np.ndarray, flips, axis: int) -> np.ndarray:
+    for shift, mask in flips:
+        keys = np.concatenate([keys, ((keys & mask) << shift) | ((keys >> shift) & mask)], axis)
+    return keys
+
+
 @functools.lru_cache(maxsize=None)
-def _word_maps(n: int) -> np.ndarray:
-    """Row g = image of every word of {0,1}^n under group element g."""
-    words = np.arange(1 << n, dtype=np.int64)
-    bits = (words[:, None] >> np.arange(n)) & 1
-    rows = []
-    for perm in itertools.permutations(range(n)):
-        weights = np.int64(1) << np.array(perm, dtype=np.int64)
-        permuted = bits @ weights
-        for flips in range(1 << n):
-            rows.append(permuted ^ flips)
-    return np.array(rows, dtype=np.uint8)
+def _key_table(n: int) -> tuple[np.ndarray, tuple]:
+    """Row g, column w: the key bit of word w moved by group element g, for
+    the coordinate permutations and the flips not in the returned tuple."""
+    bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    table = _code_keys(n, (bits[None] << perms[:, None]).sum(axis=2, keepdims=True))
+    early = n if n <= 4 else 0  # whole group up to n=4 (49 KB); flips on keys above
+    return _flip_all(table, _FLIPS[:early], 0), _FLIPS[early:n]
 
 
-def _lexmin_row(sorted_rows: np.ndarray) -> np.ndarray:
-    order = np.lexsort(sorted_rows.T[::-1])
-    return sorted_rows[order[0]]
+def _orbit_keys(n: int, *word_arrays: np.ndarray) -> np.ndarray:
+    """Row i: the key of ``word_arrays[i]``'s image under every group element,
+    column g being the same element in every row."""
+    table, flips = _key_table(n)
+    return _flip_all(np.stack([table[:, words].sum(axis=1) for words in word_arrays]), flips, 1)
+
+
+def _key_code(n: int, key) -> BinaryCode:
+    """The code of a key: character w of its 2^n-digit binary string is word w."""
+    bits = format(int(key), f"0{1 << n}b")
+    return BinaryCode(n, tuple(w for w, c in enumerate(bits) if c == "1"))
 
 
 def canonical_form(code: BinaryCode) -> BinaryCode:
-    """Lexicographically smallest sorted word list over the code's orbit."""
+    """Lexicographically smallest sorted word list over the code's orbit: the
+    code of the orbit's largest key (bit 2^n-1-w set for each word w)."""
     _check_canonical_dim(code.n)
-    imgs = np.sort(_word_maps(code.n)[:, code.word_array()], axis=1)
-    best = _lexmin_row(imgs)
-    return BinaryCode(code.n, tuple(int(w) for w in best))
+    return _key_code(code.n, _orbit_keys(code.n, code.word_array()).max())
 
 
 def canonical_pair(a: BinaryCode, b: BinaryCode) -> tuple[BinaryCode, BinaryCode]:
     """Apply one common symmetry to both codes, minimizing the joint word lists.
 
     The same group element transforms both codes, so pairwise distances (and
-    any statistic built on them) are preserved.
+    any statistic built on them) are preserved.  a's word list is minimized
+    first, then b's: the lexicographic maximum of (key of a, key of b).
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"pair dimensions differ: {a.n} vs {b.n}")
     _check_canonical_dim(a.n)
-    maps = _word_maps(a.n)
-    ia = np.sort(maps[:, a.word_array()], axis=1)
-    ib = np.sort(maps[:, b.word_array()], axis=1)
-    best = _lexmin_row(np.concatenate([ia, ib], axis=1))
-    wa, wb = best[: a.size], best[a.size :]
-    return (
-        BinaryCode(a.n, tuple(int(w) for w in wa)),
-        BinaryCode(b.n, tuple(int(w) for w in wb)),
-    )
+    ka, kb = _orbit_keys(a.n, a.word_array(), b.word_array())
+    best = ka.max()
+    return _key_code(a.n, best), _key_code(b.n, kb[ka == best].max())
 
 
 def format_code(code: BinaryCode) -> str:

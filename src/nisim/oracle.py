@@ -30,7 +30,9 @@ from .codes import (
     star,
     subcube,
     hamming_ball,
-    _word_maps,
+    MAX_CANONICAL_DIM,
+    _code_keys,
+    _orbit_keys,
 )
 from .distance import distance_distribution, distance_moment
 from .errors import (
@@ -46,7 +48,6 @@ MAX_EXHAUSTIVE_DIM = 4
 MAX_LOCAL_DIM = 16
 _SCORE_TOL = 1e-9
 _TIME_BUDGET_S = 600.0
-_CANONICAL_WITNESS_DIM = 6
 
 
 def _thread_count() -> int:
@@ -115,21 +116,15 @@ class OracleResult:
 
 
 def _orbit_reps(n: int, m: int) -> list[tuple[int, ...]]:
-    """Lexicographically first representative of each symmetry orbit of
-    m-subsets of the n-cube."""
-    maps = _word_maps(n).astype(np.int64)
-    weights = (np.int64(1) << (n * np.arange(m, dtype=np.int64))).astype(np.uint64)
-    seen: set[int] = set()
-    reps = []
-    for combo in itertools.combinations(range(1 << n), m):
-        key = 0
-        for j, w in enumerate(combo):
-            key |= w << (n * j)
+    """Lexicographically first member of each symmetry orbit of m-subsets of
+    the n-cube, in that order: each subset whose key is unseen opens an orbit."""
+    combos = list(itertools.combinations(range(1 << n), m))
+    seen, reps = set(), []
+    for combo, key in zip(combos, _code_keys(n, np.array(combos)).tolist()):
         if key in seen:
             continue
         reps.append(combo)
-        imgs = np.sort(maps[:, combo], axis=1).astype(np.uint64)
-        seen.update((imgs * weights).sum(axis=1).tolist())
+        seen.update(_orbit_keys(n, np.array(combo))[0].tolist())
     return reps
 
 
@@ -204,28 +199,10 @@ def _scan_reps(reps, kernel, combos, tol):
     return hi, lo, pairs
 
 
-def _final_winnow_prune(win: _Winnow) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    out = []
-    seen = set()
-    for a_words, b_words in win.cands:
-        key = (a_words, b_words)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
-
-
 def _pick_witness(cands, n):
     """Among exact-optimal candidates, return the smallest joint canonical pair."""
-    best_key = None
-    best_pair = None
-    for a_words, b_words in cands:
-        ca, cb = canonical_pair(BinaryCode(n, a_words), BinaryCode(n, b_words))
-        key = (ca.words, cb.words)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_pair = (ca, cb)
-    return best_pair
+    pairs = [canonical_pair(BinaryCode(n, a), BinaryCode(n, b)) for a, b in cands]
+    return min(pairs, key=lambda pair: (pair[0].words, pair[1].words))
 
 
 def exhaustive_extremes(
@@ -288,7 +265,7 @@ def exhaustive_extremes(
     scale = m * n_second
 
     def resolve(win: _Winnow, sign: int):
-        cands = _final_winnow_prune(win)
+        cands = list(dict.fromkeys(win.cands))
         if objective == "collision":
             exact = [(c, _exact_collision(c[0], c[1], rho, n)) for c in cands]
             best = max(v * sign for _, v in exact)
@@ -452,7 +429,7 @@ def local_search(
         code_a = make_code(n, np.flatnonzero(a_sel).tolist())
         code_b = make_code(n, np.flatnonzero(b_sel).tolist())
         value = collision_prob(code_a, code_b, rho)
-        if n <= _CANONICAL_WITNESS_DIM:
+        if n <= MAX_CANONICAL_DIM:
             code_a, code_b = canonical_pair(code_a, code_b)
         key = (code_a.words, code_b.words)
         better = best_value is None or value * sign > best_value * sign + 1e-15

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nisim import exhaustive_extremes, make_code
+from nisim import apply_symmetry, exhaustive_extremes, make_code, symmetry_group
 
 settings.register_profile(
     "suite",
@@ -79,6 +79,30 @@ def brute_extremes_no_symmetry(n, m, n_second, rho):
             best_max = max(best_max, q)
             best_min = min(best_min, q)
     return best_min, best_max
+
+
+def brute_orbit(*codes):
+    """Joint images of the codes under every cube symmetry, as tuples of word
+    lists, one per group element.  Applies each element word by word, so it
+    shares nothing with the package's canonicalization keys.  The minimum of
+    the result is the canonical form (one code) or canonical pair (two)."""
+    return [
+        tuple(apply_symmetry(g, c).words for c in codes)
+        for g in symmetry_group(codes[0].n)
+    ]
+
+
+def brute_orbit_minima(n, m):
+    """Smallest word list of each symmetry orbit of m-subsets of the n-cube,
+    sorted.  Each subset not yet seen is closed under the whole group."""
+    seen, minima = set(), []
+    for combo in combinations(range(1 << n), m):
+        if combo in seen:
+            continue
+        orbit = {words for (words,) in brute_orbit(make_code(n, combo))}
+        seen |= orbit
+        minima.append(min(orbit))
+    return sorted(minima)
 
 
 def random_code(rng, n, size=None):

@@ -29,7 +29,7 @@ from nisim.errors import (
     WordRangeError,
 )
 
-from conftest import random_code
+from conftest import brute_orbit, random_code
 
 
 def small_codes(max_n=5):
@@ -190,6 +190,77 @@ class TestCanonicalization:
     def test_dimension_guard(self):
         with pytest.raises(DimensionRangeError):
             canonical_form(make_code(7, [0]))
+        with pytest.raises(DimensionRangeError):
+            canonical_pair(make_code(7, [0]), make_code(7, [1]))
+
+
+def every_code(n):
+    """All 2^(2^n) - 1 nonempty codes of dimension n."""
+    return [
+        make_code(n, [w for w in range(1 << n) if mask >> w & 1])
+        for mask in range(1, 1 << (1 << n))
+    ]
+
+
+class TestCanonicalKeyReference:
+    """Canonical forms and pairs against the brute-force orbit minimum."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_code_up_to_n3(self, n):
+        for code in every_code(n):
+            assert canonical_form(code).words == min(brute_orbit(code))[0]
+
+    @pytest.mark.parametrize("n,count", [(4, 40), (5, 8)])
+    def test_random_codes(self, rng, n, count):
+        for _ in range(count):
+            code = random_code(rng, n)
+            assert canonical_form(code).words == min(brute_orbit(code))[0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_pair_up_to_n2(self, n):
+        codes = every_code(n)
+        for a in codes:
+            for b in codes:
+                ca, cb = canonical_pair(a, b)
+                assert (ca.words, cb.words) == min(brute_orbit(a, b))
+
+    @pytest.mark.parametrize("n,count", [(3, 30), (4, 20), (5, 4)])
+    def test_random_pairs(self, rng, n, count):
+        for _ in range(count):
+            a, b = random_code(rng, n), random_code(rng, n)
+            ca, cb = canonical_pair(a, b)
+            assert (ca.words, cb.words) == min(brute_orbit(a, b))
+
+    def test_n6_single_words(self):
+        first, last = make_code(6, [0]), make_code(6, [63])
+        for code in (first, last):
+            assert canonical_form(code).words == (0,) == min(brute_orbit(code))[0]
+        ca, cb = canonical_pair(last, first)
+        assert (ca.words, cb.words) == ((0,), (63,)) == min(brute_orbit(last, first))
+        ca, cb = canonical_pair(last, last)
+        assert ca.words == cb.words == (0,)
+
+    def test_n6_full_cube(self):
+        full = make_code(6, range(64))
+        assert canonical_form(full).words == full.words
+        # Every symmetry fixes the full cube, so the pair minimizes the other code alone.
+        ca, cb = canonical_pair(full, make_code(6, [63]))
+        assert (ca.words, cb.words) == (full.words, (0,))
+        ca, cb = canonical_pair(make_code(6, [63]), full)
+        assert (ca.words, cb.words) == ((0,), full.words)
+
+    def test_n6_code_with_complement(self):
+        # g maps the complement of A to the complement of g(A), so the smallest
+        # complement comes from the largest image of A.
+        code = make_code(6, [5, 6, 40])
+        images = brute_orbit(code)
+        low, high = min(images)[0], max(images)[0]
+        other = complement(code)
+        assert canonical_form(other).words == complement(make_code(6, high)).words
+        ca, cb = canonical_pair(code, other)
+        assert (ca.words, cb.words) == (low, complement(make_code(6, low)).words)
+        ca, cb = canonical_pair(other, code)
+        assert (ca.words, cb.words) == (complement(make_code(6, high)).words, high)
 
 
 class TestSerialization:

@@ -23,8 +23,9 @@ from nisim.errors import (
     ParameterRangeError,
     SearchBudgetError,
 )
+from nisim.oracle import _orbit_reps
 
-from conftest import brute_extremes_no_symmetry
+from conftest import brute_extremes_no_symmetry, brute_orbit_minima
 
 
 class TestExhaustiveCollision:
@@ -100,6 +101,14 @@ class TestExhaustiveCollision:
             exhaustive_extremes(3, 0, 4, 0.5)
         with pytest.raises(ParameterRangeError):
             exhaustive_extremes(3, 4, 4, 1.5)
+
+
+class TestOrbitRepresentatives:
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n in (1, 2, 3) for m in range(1, (1 << n) + 1)] + [(4, 4), (4, 8)]
+    )
+    def test_match_brute_force_orbit_minima(self, n, m):
+        assert _orbit_reps(n, m) == brute_orbit_minima(n, m)
 
 
 class TestExhaustiveDistance:
