@@ -182,6 +182,21 @@ def _group_elements(n: int) -> tuple[CubeSymmetry, ...]:
     return tuple(out)
 
 
+def _key_bits(n: int, words: np.ndarray) -> np.ndarray:
+    """Key bit of each word w: bit 2^n-1-w.  A code's key is the sum over its words."""
+    return np.uint64(1) << ((1 << n) - 1 - words).astype(np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _perm_key_table(n: int) -> np.ndarray:
+    """Row p, column w: the key bit of word w's image under the p-th
+    coordinate permutation (n! x 2^n, 0.4 MB at n=6)."""
+    bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    images = (bits[None] << perms[:, None]).sum(axis=2)
+    return _key_bits(n, images)
+
+
 # Flipping coordinate j XORs each key bit index with 2^j: the bits whose index
 # has bit j clear (the mask) swap with the bits 2^j above them.
 _FLIPS = tuple(
@@ -190,33 +205,15 @@ _FLIPS = tuple(
 )
 
 
-def _code_keys(n: int, words: np.ndarray) -> np.ndarray:
-    """Key of each code whose words fill the last axis: bit 2^n-1-w per word w."""
-    return (np.uint64(1) << ((1 << n) - 1 - words).astype(np.uint64)).sum(axis=-1)
-
-
-def _flip_all(keys: np.ndarray, flips, axis: int) -> np.ndarray:
-    for shift, mask in flips:
-        keys = np.concatenate([keys, ((keys & mask) << shift) | ((keys >> shift) & mask)], axis)
-    return keys
-
-
-@functools.lru_cache(maxsize=None)
-def _key_table(n: int) -> tuple[np.ndarray, tuple]:
-    """Row g, column w: the key bit of word w moved by group element g, for
-    the coordinate permutations and the flips not in the returned tuple."""
-    bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    table = _code_keys(n, (bits[None] << perms[:, None]).sum(axis=2, keepdims=True))
-    early = n if n <= 4 else 0  # whole group up to n=4 (49 KB); flips on keys above
-    return _flip_all(table, _FLIPS[:early], 0), _FLIPS[early:n]
-
-
 def _orbit_keys(n: int, *word_arrays: np.ndarray) -> np.ndarray:
     """Row i: the key of ``word_arrays[i]``'s image under every group element,
     column g being the same element in every row."""
-    table, flips = _key_table(n)
-    return _flip_all(np.stack([table[:, words].sum(axis=1) for words in word_arrays]), flips, 1)
+    table = _perm_key_table(n)
+    keys = np.stack([table[:, words].sum(axis=1) for words in word_arrays])
+    for shift, mask in _FLIPS[:n]:
+        flipped = ((keys & mask) << shift) | ((keys >> shift) & mask)
+        keys = np.concatenate([keys, flipped], axis=1)
+    return keys
 
 
 def _key_code(n: int, key) -> BinaryCode:

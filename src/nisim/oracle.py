@@ -31,7 +31,7 @@ from .codes import (
     subcube,
     hamming_ball,
     MAX_CANONICAL_DIM,
-    _code_keys,
+    _key_bits,
     _orbit_keys,
 )
 from .distance import distance_distribution, distance_moment
@@ -120,7 +120,7 @@ def _orbit_reps(n: int, m: int) -> list[tuple[int, ...]]:
     the n-cube, in that order: each subset whose key is unseen opens an orbit."""
     combos = list(itertools.combinations(range(1 << n), m))
     seen, reps = set(), []
-    for combo, key in zip(combos, _code_keys(n, np.array(combos)).tolist()):
+    for combo, key in zip(combos, _key_bits(n, np.array(combos)).sum(axis=1).tolist()):
         if key in seen:
             continue
         reps.append(combo)
@@ -199,10 +199,28 @@ def _scan_reps(reps, kernel, combos, tol):
     return hi, lo, pairs
 
 
+def _final_winnow_prune(win: _Winnow) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    out = []
+    seen = set()
+    for a_words, b_words in win.cands:
+        key = (a_words, b_words)
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    return out
+
+
 def _pick_witness(cands, n):
     """Among exact-optimal candidates, return the smallest joint canonical pair."""
-    pairs = [canonical_pair(BinaryCode(n, a), BinaryCode(n, b)) for a, b in cands]
-    return min(pairs, key=lambda pair: (pair[0].words, pair[1].words))
+    best_key = None
+    best_pair = None
+    for a_words, b_words in cands:
+        ca, cb = canonical_pair(BinaryCode(n, a_words), BinaryCode(n, b_words))
+        key = (ca.words, cb.words)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_pair = (ca, cb)
+    return best_pair
 
 
 def exhaustive_extremes(
@@ -265,7 +283,7 @@ def exhaustive_extremes(
     scale = m * n_second
 
     def resolve(win: _Winnow, sign: int):
-        cands = list(dict.fromkeys(win.cands))
+        cands = _final_winnow_prune(win)
         if objective == "collision":
             exact = [(c, _exact_collision(c[0], c[1], rho, n)) for c in cands]
             best = max(v * sign for _, v in exact)
