@@ -7,8 +7,7 @@ checking).  Exit codes: 0 success, 1 verification or consistency failure,
 2 invalid input, 3 search budget refusal.
 
 Output is deterministic: rerunning a command with the same arguments and seed
-produces byte-identical bytes.  The worker thread count is taken from the
-NISIM_THREADS environment variable.
+produces byte-identical bytes.
 """
 
 from __future__ import annotations

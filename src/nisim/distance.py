@@ -22,7 +22,7 @@ from .errors import (
     NumericalConsistencyError,
     ParameterRangeError,
 )
-from .fourier import fwht, level_sums, spectrum
+from .fourier import fwht, level_sums, spectrum, xor_convolve
 
 PAIRWISE_LIMIT = 1 << 26
 _CHARSUM_CHECK_DIM = 10
@@ -96,7 +96,7 @@ def _transform_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
     ind_a[a.word_array()] = 1.0
     ind_b = np.zeros(size)
     ind_b[b.word_array()] = 1.0
-    conv = fwht(fwht(ind_a) * fwht(ind_b)) / size
+    conv = xor_convolve(ind_a, ind_b)
     weights = np.bitwise_count(np.arange(size, dtype=np.int64))
     raw = np.bincount(weights, weights=conv, minlength=a.n + 1)
     counts = np.rint(raw).astype(np.int64)

@@ -36,6 +36,11 @@ def fwht(values: np.ndarray) -> np.ndarray:
     return arr
 
 
+def xor_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(f * g)[x] = sum over y of f[y] g[x ^ y], through the transform."""
+    return fwht(fwht(f) * fwht(g)) / f.shape[0]
+
+
 @dataclass(frozen=True, eq=False)
 class FourierSpectrum:
     """Expectation-normalized character coefficients of a code's +-1 indicator.

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .codes import MAX_TRANSFORM_DIM, BinaryCode
-from .distance import distance_distribution
+from .distance import DistanceDistribution, distance_distribution
 from .errors import (
     DimensionMismatchError,
     DimensionRangeError,
@@ -66,6 +66,16 @@ class JointCellProbs:
             raise NumericalConsistencyError(f"cells sum to {total!r}, not 1")
 
 
+def _distance_path(dist: DistanceDistribution, pairs: int, rho: float) -> float:
+    """The agreement probability summed over a cross distance distribution of
+    ``pairs`` code pairs: each pair at distance d has probability
+    ``pair_probability(d)``."""
+    inst = DsbsInstance(rho, dist.n)
+    return math.fsum(
+        pairs * p * inst.pair_probability(d) for d, p in enumerate(dist.p) if p > 0.0
+    )
+
+
 def collision_prob(a: BinaryCode, b: BinaryCode, rho: float) -> float:
     """P(X in A, Y in B) for the correlated pair at correlation rho.
 
@@ -78,12 +88,7 @@ def collision_prob(a: BinaryCode, b: BinaryCode, rho: float) -> float:
     if not -1.0 <= rho <= 1.0:
         raise ParameterRangeError(f"correlation must be in [-1, 1], got {rho}")
     n = a.n
-    dist = distance_distribution(a, b)
-    inst = DsbsInstance(rho, n)
-    pairs = a.size * b.size
-    q = math.fsum(
-        pairs * p * inst.pair_probability(d) for d, p in enumerate(dist.p) if p > 0.0
-    )
+    q = _distance_path(distance_distribution(a, b), a.size * b.size, rho)
 
     if n <= MAX_TRANSFORM_DIM:
         dens = a.density * b.density

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +38,7 @@ from .errors import (
     ParameterRangeError,
     SearchBudgetError,
 )
-from .fourier import fwht
+from .fourier import xor_convolve
 from .model import collision_prob
 
 RHO_CERTIFICATION_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -48,19 +46,6 @@ MAX_EXHAUSTIVE_DIM = 4
 MAX_LOCAL_DIM = 16
 _SCORE_TOL = 1e-9
 _TIME_BUDGET_S = 600.0
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("NISIM_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ParameterRangeError(f"NISIM_THREADS must be a positive integer, got {raw!r}") from exc
-    if count < 1:
-        raise ParameterRangeError(f"NISIM_THREADS must be a positive integer, got {count}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -128,12 +113,11 @@ def _orbit_reps(n: int, m: int) -> list[tuple[int, ...]]:
     return reps
 
 
-def _collision_kernel(n: int, rho: float) -> np.ndarray:
-    words = np.arange(1 << n, dtype=np.int64)
-    dists = np.bitwise_count(words[:, None] ^ words[None, :])
+def _weight_table(n: int, rho: float) -> np.ndarray:
+    # Array power, not DsbsInstance.pair_probability: the two differ in the last
+    # bit on some entries, and either swap would change search results.
     d = np.arange(n + 1, dtype=np.float64)
-    pw = ((1.0 - rho) / 4.0) ** d * ((1.0 + rho) / 4.0) ** (n - d)
-    return pw[dists]
+    return ((1.0 - rho) / 4.0) ** d * ((1.0 + rho) / 4.0) ** (n - d)
 
 
 def _distance_kernel(n: int) -> np.ndarray:
@@ -177,14 +161,6 @@ class _Winnow:
         for idx in np.flatnonzero(vec >= self.best - self.tol):
             self.cands.append((tuple(a_words), tuple(int(w) for w in combos[idx])))
 
-    def merge(self, other: "_Winnow") -> None:
-        if other.best > self.best + self.tol:
-            self.best = other.best
-            self.cands = list(other.cands)
-        elif other.best >= self.best - self.tol:
-            self.best = max(self.best, other.best)
-            self.cands.extend(other.cands)
-
 
 def _scan_reps(reps, kernel, combos, tol):
     hi = _Winnow(+1, tol)
@@ -197,17 +173,6 @@ def _scan_reps(reps, kernel, combos, tol):
         lo.offer(scores, a_words, combos)
         pairs += combos.shape[0]
     return hi, lo, pairs
-
-
-def _final_winnow_prune(win: _Winnow) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    out = []
-    seen = set()
-    for a_words, b_words in win.cands:
-        key = (a_words, b_words)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
 
 
 def _pick_witness(cands, n):
@@ -254,43 +219,20 @@ def exhaustive_extremes(
     start = time.perf_counter()
     reps = _orbit_reps(n, m)
     combos = np.array(list(itertools.combinations(range(size), n_second)), dtype=np.int64)
-    projected = len(reps) * combos.shape[0] * 5e-8
-    if projected > _TIME_BUDGET_S:
-        raise SearchBudgetError(
-            f"projected scan time {projected:.0f}s exceeds the {_TIME_BUDGET_S:.0f}s budget"
-        )
-
+    dists = _distance_kernel(n)
     if objective == "collision":
-        kernel = _collision_kernel(n, rho)
-        tol = _SCORE_TOL
+        hi, lo, pairs = _scan_reps(reps, _weight_table(n, rho)[dists], combos, _SCORE_TOL)
     else:
-        kernel = _distance_kernel(n)
-        tol = 0.0
-
-    threads = _thread_count()
-    if threads == 1 or len(reps) < 2 * threads:
-        hi, lo, pairs = _scan_reps(reps, kernel, combos, tol)
-    else:
-        chunks = [reps[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ch: _scan_reps(ch, kernel, combos, tol), chunks))
-        hi, lo, pairs = parts[0]
-        for h2, l2, p2 in parts[1:]:
-            hi.merge(h2)
-            lo.merge(l2)
-            pairs += p2
-
-    scale = m * n_second
+        hi, lo, pairs = _scan_reps(reps, dists, combos, 0.0)
 
     def resolve(win: _Winnow, sign: int):
-        cands = _final_winnow_prune(win)
         if objective == "collision":
-            exact = [(c, _exact_collision(c[0], c[1], rho, n)) for c in cands]
+            exact = [(c, _exact_collision(c[0], c[1], rho, n)) for c in win.cands]
             best = max(v * sign for _, v in exact)
             winners = [c for c, v in exact if v * sign == best]
         else:
             # integer scores: the winnow already kept exact optima only
-            winners = cands
+            winners = win.cands
         pair = _pick_witness(winners, n)
         if objective == "collision":
             value = collision_prob(pair[0], pair[1], rho)
@@ -325,16 +267,6 @@ def exhaustive_distance_extremes(n: int, m: int, n_second: int) -> OracleResult:
     return exhaustive_extremes(n, m, n_second, None, objective="distance")
 
 
-def _weight_table(n: int, rho: float) -> np.ndarray:
-    d = np.arange(n + 1, dtype=np.float64)
-    return ((1.0 - rho) / 4.0) ** d * ((1.0 + rho) / 4.0) ** (n - d)
-
-
-def _xor_convolve(indicator: np.ndarray, g_table: np.ndarray) -> np.ndarray:
-    size = indicator.shape[0]
-    return fwht(fwht(indicator) * fwht(g_table)) / size
-
-
 class _SwapClimber:
     """Steepest single-codeword-swap ascent on the agreement probability."""
 
@@ -349,8 +281,8 @@ class _SwapClimber:
         return self.g[np.bitwise_count(self.words ^ x)]
 
     def climb(self, a_sel: np.ndarray, b_sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        w_b = _xor_convolve(b_sel.astype(np.float64), self.g)
-        w_a = _xor_convolve(a_sel.astype(np.float64), self.g)
+        w_b = xor_convolve(b_sel.astype(np.float64), self.g)
+        w_a = xor_convolve(a_sel.astype(np.float64), self.g)
         steps = 0
         for _ in range(10000):
             delta, move = 0.0, None

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .codes import (
+    MAX_CANONICAL_DIM,
     MAX_TRANSFORM_DIM,
     BinaryCode,
     CubeSymmetry,
@@ -36,7 +37,7 @@ from .distance import (
     dual_distribution,
 )
 from .fourier import fwht, level_sums, spectrum, theta_from_levels
-from .model import DsbsInstance
+from .model import _distance_path
 
 _DEFAULT_DIMS = (4, 6, 8, 10)
 _RHO_GRID = (-1.0, -0.5, 0.0, 0.5, 0.9, 1.0)
@@ -156,12 +157,6 @@ class _Lab:
         """Distance distribution against the coordinate-flipped first code."""
         return DistanceDistribution(self.n, dist.p[::-1])
 
-    def collision(self, dist: DistanceDistribution, rho: float, pairs: int) -> float:
-        inst = DsbsInstance(rho, self.n)
-        return math.fsum(
-            pairs * p * inst.pair_probability(d) for d, p in enumerate(dist.p) if p > 0.0
-        )
-
 
 class _Collector:
     def __init__(self, fault: str | None):
@@ -265,7 +260,7 @@ def _run_families(lab: _Lab, c: _Collector) -> None:
 
     pairs = a.size * b.size
     for rho in _RHO_GRID:
-        q_dist = lab.collision(lab.p_ab, rho, pairs)
+        q_dist = _distance_path(lab.p_ab, pairs, rho)
         q_spec = da * db + theta_from_levels(lab.levels, rho)
         c.check("collision-path-agreement", abs(q_dist - q_spec), 1e-9, f"{where} rho={rho}")
 
@@ -274,12 +269,12 @@ def _run_families(lab: _Lab, c: _Collector) -> None:
         c.check("covariance-range", viol, 1e-12, f"{where} rho={rho}")
 
     for rho in (0.3, 0.7, 1.0):
-        lhs = lab.collision(lab.p_ab, -rho, pairs)
-        rhs = lab.collision(lab.reflected(lab.p_ab), rho, pairs)
+        lhs = _distance_path(lab.p_ab, pairs, -rho)
+        rhs = _distance_path(lab.reflected(lab.p_ab), pairs, rho)
         c.check("negation-reduction", abs(lhs - rhs), 1e-9, f"{where} rho={rho} star")
         if a.size < size:
-            lhs = lab.collision(lab.p_acb, rho, (size - a.size) * b.size)
-            rhs = db - lab.collision(lab.p_ab, rho, pairs)
+            lhs = _distance_path(lab.p_acb, (size - a.size) * b.size, rho)
+            rhs = db - _distance_path(lab.p_ab, pairs, rho)
             c.check("negation-reduction", abs(lhs - rhs), 1e-9, f"{where} rho={rho} compl")
 
     qa = np.maximum(np.array(lab.dual_aa.q), 0.0)
@@ -312,8 +307,19 @@ def _run_families(lab: _Lab, c: _Collector) -> None:
 
     if lab.sym is not None:
         ga = apply_symmetry(lab.sym, a)
-        err = 0.0 if canonical_form(ga).words == canonical_form(a).words else 1.0
-        c.check("canonical-invariance", err, 0.0, where)
+        canon = canonical_form(a)
+        # Orbit invariance alone passes any orbit-invariant function, so also
+        # check the form against A directly: it shares A's self distance
+        # distribution, and as the orbit minimum it starts at 0 and is at most
+        # every translate A ^ x (x in A), each of which lies in the orbit.
+        translates = np.sort(a.word_array()[:, None] ^ a.word_array()[None, :], axis=1)
+        ok = (
+            canonical_form(ga).words == canon.words
+            and canon.words[0] == 0
+            and distance_distribution(canon).p == lab.p_aa.p
+            and all(canon.words <= tuple(row) for row in translates.tolist())
+        )
+        c.check("canonical-invariance", 0.0 if ok else 1.0, 0.0, where)
 
         gb = apply_symmetry(lab.sym, b)
         moved = distance_distribution(ga, gb)
@@ -353,7 +359,7 @@ def run_verify(
             a = make_code(n, rng.permutation(size)[:sa].tolist())
             b = make_code(n, rng.permutation(size)[:sb].tolist())
             sym = None
-            if n <= 6:
+            if n <= MAX_CANONICAL_DIM:
                 sym = CubeSymmetry(
                     tuple(int(p) for p in rng.permutation(n)),
                     int(rng.integers(0, size)),

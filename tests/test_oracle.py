@@ -207,15 +207,35 @@ class TestLocalSearch:
         assert abs(res.max_q - 0.375) <= 1e-15
 
 
-class TestThreadDeterminism:
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setenv("NISIM_THREADS", "1")
-        single = exhaustive_extremes(4, 6, 6, 0.7).to_json_dict()
-        monkeypatch.setenv("NISIM_THREADS", "3")
-        multi = exhaustive_extremes(4, 6, 6, 0.7).to_json_dict()
-        assert json.dumps(single, sort_keys=True) == json.dumps(
-            multi, sort_keys=True
-        )
+class TestFullCorrelation:
+    """At rho = 1 the strings agree and q = |A & B| / 2^n; at rho = -1 they are
+    antipodal and q = |A & star(B)| / 2^n.  Either way the extremes are the
+    largest and smallest possible overlaps."""
+
+    SIZES = [(n, m, m2) for n in (1, 2, 3) for m in range(1, (1 << n) + 1)
+             for m2 in range(1, (1 << n) + 1)]
+
+    @staticmethod
+    def overlap_range(n, m, m2):
+        size = 1 << n
+        return max(0, m + m2 - size) / size, min(m, m2) / size
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_exhaustive_extremes_are_overlap_extremes(self, rho):
+        for n, m, m2 in self.SIZES:
+            lo, hi = self.overlap_range(n, m, m2)
+            res = exhaustive_extremes(n, m, m2, rho)
+            assert abs(res.max_q - hi) <= 1e-15, (n, m, m2)
+            assert abs(res.min_q - lo) <= 1e-15, (n, m, m2)
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_local_search_stays_inside_overlap_extremes(self, rho):
+        for n, m, m2 in self.SIZES:
+            lo, hi = self.overlap_range(n, m, m2)
+            for direction in ("max", "min"):
+                res = local_search(n, m, m2, rho, direction=direction, seed=n + m, iters=2)
+                q = res.max_q if direction == "max" else res.min_q
+                assert lo - 1e-15 <= q <= hi + 1e-15, (n, m, m2, direction)
 
 
 class TestConstructions:

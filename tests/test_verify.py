@@ -2,7 +2,9 @@
 
 import pytest
 
+import nisim.verify
 from nisim import run_verify
+from nisim.codes import canonical_form, star
 from nisim.errors import ParameterRangeError
 from nisim.verify import FAMILY_NAMES
 
@@ -62,3 +64,10 @@ class TestFaultInjection:
         for name in FAMILY_NAMES:
             report = run_verify(seed=4, trials=2, dims=(4,), fault=name)
             assert report.failed_families == (name,), name
+
+    def test_orbit_invariant_but_wrong_canonical_form_is_caught(self, monkeypatch):
+        # star(canonical_form(A)) is the same for every member of A's orbit,
+        # so comparing g.A with A alone would pass it.
+        monkeypatch.setattr(nisim.verify, "canonical_form", lambda c: star(canonical_form(c)))
+        report = run_verify(seed=11, trials=5, dims=(4, 6))
+        assert report.failed_families == ("canonical-invariance",)
