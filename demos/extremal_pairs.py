@@ -1,8 +1,9 @@
 """Search for the best and worst code pairs and compare against the bounds.
 
 Small dimensions are settled exhaustively up to cube symmetry; larger ones
-use seeded swap ascent from subcube starts.  The exhaustive results double as
-a sharpness check for the analytic bounds.
+use seeded alternating best response from subcube, Hamming-ball and random
+starts, whose value is a one-sided bound.  The exhaustive results double as a
+sharpness check for the analytic bounds.
 """
 
 import math
@@ -35,7 +36,7 @@ def main():
     print("the upper bound is met exactly: a subcube pair is optimal here.")
     print()
 
-    print("swap ascent at n=8 (too large to settle exhaustively):")
+    print("alternating best response at n=8 (too large to settle exhaustively):")
     best = local_search(8, 64, 64, rho, direction="max", seed=0, iters=10)
     floor = construction_value("symmetric-subcube", 8, 2, rho)
     print(f"  density 1/4 again, found {best.max_q:.9f}")

@@ -6,9 +6,12 @@ the first code ranges over orbit representatives, the second over everything.
 Float scores select near-optimal candidates, exact rational re-evaluation
 breaks ties, and witnesses are reported as jointly canonicalized pairs.
 
-``local_search`` scales to larger blocklengths with steepest single-swap
-ascent from explicit constructions and random restarts; its value is a valid
-one-sided bound, nothing more.
+``local_search`` scales to larger blocklengths by alternating exact best
+responses: against a fixed partner the best code of a given size is read off
+one XOR convolution, and the two codes take turns until neither changes.  It
+starts from the subcube pair (when both sizes are powers of two), the
+Hamming-ball pair and seeded random pairs.  Its value is attained by its
+witness, so it is a valid one-sided bound, nothing more.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,12 +42,13 @@ from .errors import (
     ParameterRangeError,
     SearchBudgetError,
 )
-from .fourier import xor_convolve
+from .fourier import fwht
 from .model import collision_prob
 
 RHO_CERTIFICATION_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 MAX_EXHAUSTIVE_DIM = 4
 MAX_LOCAL_DIM = 16
+MAX_LOCAL_ROUNDS = 1000
 _SCORE_TOL = 1e-9
 _TIME_BUDGET_S = 600.0
 
@@ -54,8 +59,11 @@ class OracleResult:
 
     Exactly one objective's fields are populated: (max_q, min_q) for the
     agreement probability, (max_d, min_d) for average distance.  A local
-    search fills only the requested direction.  ``wall_time_s`` is measured
-    and therefore excluded from serialized output.
+    search fills only the requested direction.  ``pairs_evaluated`` counts
+    every pair scored by an exhaustive search; for a local search it is the sum
+    over starts of (rounds + 1), a round being a best response that changed a
+    code.  ``wall_time_s`` is measured and therefore excluded from serialized
+    output.
     """
 
     n: int
@@ -267,52 +275,30 @@ def exhaustive_distance_extremes(n: int, m: int, n_second: int) -> OracleResult:
     return exhaustive_extremes(n, m, n_second, None, objective="distance")
 
 
-class _SwapClimber:
-    """Steepest single-codeword-swap ascent on the agreement probability."""
+def _alternate(g_hat: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Give A and B in turn their exact best response until one changes nothing.
 
-    def __init__(self, n: int, rho: float, direction: str):
-        self.n = n
-        self.size = 1 << n
-        self.sign = 1.0 if direction == "max" else -1.0
-        self.words = np.arange(self.size, dtype=np.int64)
-        self.g = _weight_table(n, rho)[np.bitwise_count(self.words)]
-
-    def _row(self, x: int) -> np.ndarray:
-        return self.g[np.bitwise_count(self.words ^ x)]
-
-    def climb(self, a_sel: np.ndarray, b_sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        w_b = xor_convolve(b_sel.astype(np.float64), self.g)
-        w_a = xor_convolve(a_sel.astype(np.float64), self.g)
-        steps = 0
-        for _ in range(10000):
-            delta, move = 0.0, None
-            if not a_sel.all():
-                gain = self.sign * w_b
-                x_in = int(np.argmax(np.where(a_sel, -np.inf, gain)))
-                x_out = int(np.argmin(np.where(a_sel, gain, np.inf)))
-                d = gain[x_in] - gain[x_out]
-                if d > delta:
-                    delta, move = d, ("a", x_in, x_out)
-            if not b_sel.all():
-                gain = self.sign * w_a
-                y_in = int(np.argmax(np.where(b_sel, -np.inf, gain)))
-                y_out = int(np.argmin(np.where(b_sel, gain, np.inf)))
-                d = gain[y_in] - gain[y_out]
-                if d > delta:
-                    delta, move = d, ("b", y_in, y_out)
-            if move is None or delta <= 1e-15:
-                break
-            side, w_in, w_out = move
-            steps += 1
-            if side == "a":
-                a_sel[w_in] = True
-                a_sel[w_out] = False
-                w_a += self._row(w_in) - self._row(w_out)
-            else:
-                b_sel[w_in] = True
-                b_sel[w_out] = False
-                w_b += self._row(w_in) - self._row(w_out)
-        return a_sel, b_sel, steps
+    ``g_hat`` is sign / 2^n times the transform of the pair weight by word
+    weight, so fwht(fwht(1_B) * g_hat) is sign * K 1_B, and the best A of size
+    m is its top m entries (ties by word index).  A side changes only when its
+    response beats it by more than 1e-15, so each round raises sign * q and a
+    fixed point is single-swap optimal.  Returns (a, b, sign * q, rounds,
+    converged).
+    """
+    sides, side, rounds = [a, b], 0, 0
+    for step in itertools.count():
+        other = np.zeros(g_hat.shape[0])
+        other[sides[1 - side]] = 1.0
+        scores = fwht(fwht(other) * g_hat)
+        current = float(scores[sides[side]].sum())
+        top = np.argsort(-scores, kind="stable")[: sides[side].shape[0]]
+        if float(scores[top].sum()) > current + 1e-15:
+            if rounds == MAX_LOCAL_ROUNDS:
+                return (*sides, current, rounds, False)
+            sides[side], rounds = top, rounds + 1
+        elif step:
+            return (*sides, current, rounds, True)
+        side = 1 - side
 
 
 def local_search(
@@ -324,11 +310,21 @@ def local_search(
     seed: int = 0,
     iters: int = 20,
 ) -> OracleResult:
-    """Seeded hill climbing over code pairs; returns a one-sided bound.
+    """Seeded alternating best response over code pairs; returns a one-sided bound.
 
-    Starts from the explicit subcube constructions when the sizes are powers
-    of two (so the result never falls below them) plus ``iters`` random
-    restarts.  Deterministic for a fixed seed.
+    The reported value is attained by the witness, so it bounds the true
+    extreme from one side only.  Starts, each improved until neither code's
+    exact best response changes it:
+
+    * the subcube pair (antisubcube for ``min``) when both sizes are powers of
+      two, so the result is never worse than that construction;
+    * the Hamming-ball pair: the m and n_second lowest-weight words (ties by
+      word index), the second code reflected for ``min``;
+    * ``iters`` random pairs drawn from ``seed``.
+
+    Ties between starts go to the smallest canonical pair.  Deterministic for a
+    fixed seed.  A start still improving after ``MAX_LOCAL_ROUNDS`` rounds
+    stops there with a ``RuntimeWarning``.
     """
     if not isinstance(n, int) or n < 1 or n > MAX_LOCAL_DIM:
         raise DimensionRangeError(f"local search supports dimensions 1..{MAX_LOCAL_DIM}, got {n}")
@@ -344,40 +340,50 @@ def local_search(
 
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    climber = _SwapClimber(n, rho, direction)
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def selector(word_list) -> np.ndarray:
-        sel = np.zeros(size, dtype=bool)
-        sel[np.array(word_list, dtype=np.int64)] = True
-        return sel
-
+    sign = 1.0 if direction == "max" else -1.0
+    g_hat = fwht(_weight_table(n, rho)[np.bitwise_count(np.arange(size))]) * (sign / size)
+    starts = []
     if m & (m - 1) == 0 and n_second & (n_second - 1) == 0:
         pin_a = n - m.bit_length() + 1
         pin_b = n - n_second.bit_length() + 1
-        a0 = subcube(n, pin_a)
         b0 = subcube(n, pin_b) if direction == "max" else star(subcube(n, pin_b))
-        starts.append((selector(a0.words), selector(b0.words)))
-    for _ in range(iters):
+        starts.append(("subcube", subcube(n, pin_a).word_array(), b0.word_array()))
+    by_weight = np.argsort(np.bitwise_count(np.arange(size)), kind="stable")
+    reflect = 0 if direction == "max" else size - 1
+    starts.append(("hamming-ball", by_weight[:m], by_weight[:n_second] ^ reflect))
+    for i in range(iters):
         starts.append(
-            (
-                selector(rng.permutation(size)[:m]),
-                selector(rng.permutation(size)[:n_second]),
-            )
+            (f"random restart {i}", rng.permutation(size)[:m], rng.permutation(size)[:n_second])
         )
-    if not starts:
-        starts.append((selector(range(m)), selector(range(n_second))))
 
-    sign = 1.0 if direction == "max" else -1.0
+    outcomes = []
+    total_rounds = 0
+    for name, a0, b0 in starts:
+        a, b, score, rounds, converged = _alternate(g_hat, a0, b0)
+        total_rounds += rounds + 1
+        if not converged:
+            warnings.warn(
+                f"local search n={n} m={m} n2={n_second} rho={rho} {direction}: start "
+                f"{name!r} was still improving after {MAX_LOCAL_ROUNDS} rounds",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        outcomes.append((score, np.sort(a), np.sort(b)))
+
+    # Transform scores rank the starts; only pairs that can still win get the
+    # reported value, canonical form and tie-break below.
+    top = max(score for score, _, _ in outcomes)
     best_value = None
     best_pair = None
     best_key = None
-    total_steps = 0
-    for a_sel, b_sel in starts:
-        a_sel, b_sel, steps = climber.climb(a_sel.copy(), b_sel.copy())
-        total_steps += steps + 1
-        code_a = make_code(n, np.flatnonzero(a_sel).tolist())
-        code_b = make_code(n, np.flatnonzero(b_sel).tolist())
+    seen = set()
+    for score, a, b in outcomes:
+        pair_bytes = (a.tobytes(), b.tobytes())
+        if score < top - 1e-12 or pair_bytes in seen:
+            continue
+        seen.add(pair_bytes)
+        code_a = make_code(n, a.tolist())
+        code_b = make_code(n, b.tolist())
         value = collision_prob(code_a, code_b, rho)
         if n <= MAX_CANONICAL_DIM:
             code_a, code_b = canonical_pair(code_a, code_b)
@@ -395,7 +401,7 @@ def local_search(
         rho=rho,
         objective="collision",
         exhaustive=False,
-        pairs_evaluated=total_steps,
+        pairs_evaluated=total_rounds,
         orbits_enumerated=0,
         wall_time_s=elapsed,
     )

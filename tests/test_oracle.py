@@ -8,6 +8,7 @@ import pytest
 from nisim import (
     canonical_pair,
     collision_prob,
+    combined_report,
     construction_value,
     distance_distribution,
     distance_moment,
@@ -23,7 +24,8 @@ from nisim.errors import (
     ParameterRangeError,
     SearchBudgetError,
 )
-from nisim.oracle import _orbit_reps
+from nisim import oracle
+from nisim.oracle import MAX_LOCAL_DIM, _orbit_reps
 
 from conftest import brute_extremes_no_symmetry, brute_orbit_minima
 
@@ -205,6 +207,301 @@ class TestLocalSearch:
     def test_zero_iters_returns_construction_start(self):
         res = local_search(3, 4, 4, 0.5, direction="max", seed=0, iters=0)
         assert abs(res.max_q - 0.375) <= 1e-15
+
+    def test_round_cap_warns_and_names_the_start(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_LOCAL_ROUNDS", 1)
+        with pytest.warns(RuntimeWarning) as caught:
+            res = local_search(6, 16, 16, 0.5, direction="max", seed=0, iters=2)
+        messages = [str(w.message) for w in caught]
+        assert any(
+            "n=6 m=16 n2=16 rho=0.5 max" in msg and "random restart 0" in msg
+            and "1 rounds" in msg
+            for msg in messages
+        ), messages
+        wa, wb = res.witness_max
+        assert (wa.size, wb.size) == (16, 16)
+        assert abs(collision_prob(wa, wb, 0.5) - res.max_q) <= 1e-15
+
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    def test_quarter_density_at_max_local_dim(self, direction):
+        n, rho = MAX_LOCAL_DIM, 0.5
+        m = 1 << (n - 2)
+        res = local_search(n, m, m, rho, direction=direction, iters=1)
+        report = combined_report(0.25, 0.25, rho)
+        if direction == "max":
+            q, (wa, wb) = res.max_q, res.witness_max
+            assert q >= construction_value("symmetric-subcube", n, 2, rho) - 1e-12
+        else:
+            q, (wa, wb) = res.min_q, res.witness_min
+            assert q <= construction_value("antisymmetric-subcube", n, 2, rho) + 1e-12
+        assert report.combined_lb - 1e-9 <= q <= report.combined_ub + 1e-9
+        assert (wa.n, wa.size, wb.n, wb.size) == (n, m, n, m)
+
+
+def _best_single_swap_gain(a, b, rho, sign):
+    """Largest gain in sign * q from replacing one word of a or of b, by brute force."""
+    n = a.n
+    base = sign * collision_prob(a, b, rho)
+    best = -math.inf
+    for side, code in enumerate((a, b)):
+        outside = sorted(set(range(1 << n)) - set(code.words))
+        for w_out in code.words:
+            for w_in in outside:
+                moved = make_code(n, [w_in if w == w_out else w for w in code.words])
+                pair = (moved, b) if side == 0 else (a, moved)
+                best = max(best, sign * collision_prob(*pair, rho) - base)
+    return best
+
+
+SWAP_SIZES = {
+    3: [(m, m2) for m in range(1, 9) for m2 in range(1, 9)],
+    4: [(6, 4), (8, 4), (3, 5), (11, 7)],
+    5: [(8, 8), (3, 5), (15, 9)],
+    6: [(3, 5), (16, 16)],
+}
+
+
+class TestLocalSearchOptimality:
+    @pytest.mark.parametrize("n", sorted(SWAP_SIZES))
+    def test_witness_is_single_swap_optimal(self, n):
+        for m, m2 in SWAP_SIZES[n]:
+            for direction, sign in (("max", 1.0), ("min", -1.0)):
+                for rho in (0.3, 0.8):
+                    res = local_search(n, m, m2, rho, direction=direction, seed=m + m2, iters=2)
+                    pair = res.witness_max if direction == "max" else res.witness_min
+                    gain = _best_single_swap_gain(*pair, rho, sign)
+                    assert gain <= 1e-12, (n, m, m2, direction, rho, gain)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_never_worse_than_swap_climber(self, n):
+        for (n_key, m, m2, direction, rho), values in SWAP_CLIMBER_PANEL.items():
+            if n_key != n:
+                continue
+            sign = 1.0 if direction == "max" else -1.0
+            for seed, old in enumerate(values):
+                res = local_search(n, m, m2, rho, direction=direction, seed=seed, iters=2)
+                q = res.max_q if direction == "max" else res.min_q
+                assert sign * (q - old) >= -1e-12, (n, m, m2, direction, rho, seed, q, old)
+
+
+# Values the single-swap climber (local_search before alternating best response)
+# reached on the n=4..6 part of the ROADMAP panel: sizes (2^(n-2), 2^(n-2)),
+# (2^(n-1), 2^(n-3)), (3*2^(n-3), 2^(n-2)), (2^(n-1), 2^(n-2)), (3, 5) and
+# (2^(n-1)-1, 2^(n-2)+1), iters=2, seeds 0-4 in order.  Without the Hamming-ball
+# start, alternating best response loses to the climber on n=4 (6, 4) min at seed 3
+# and (8, 4) max at seed 2, at both correlations.
+SWAP_CLIMBER_PANEL = {
+    (4, 4, 4, "max", 0.3): (
+        0.10562500000000001, 0.10562500000000001, 0.10562500000000001, 0.10562500000000001,
+        0.10562500000000001,
+    ),
+    (4, 4, 4, "max", 0.8): (0.2025, 0.2025, 0.2025, 0.2025, 0.2025),
+    (4, 4, 4, "min", 0.3): (
+        0.030624999999999996, 0.030624999999999996, 0.030624999999999996, 0.030624999999999996,
+        0.030624999999999996,
+    ),
+    (4, 4, 4, "min", 0.8): (
+        0.0024999999999999988, 0.0024999999999999988, 0.0024999999999999988, 0.0024999999999999988,
+        0.0024999999999999988,
+    ),
+    (4, 8, 2, "max", 0.3): (0.08978125, 0.08978125, 0.08978125, 0.08978125, 0.08978125),
+    (4, 8, 2, "max", 0.8): (0.1215, 0.1215, 0.1215, 0.1215, 0.1215),
+    (4, 8, 2, "min", 0.3): (
+        0.03521874999999999, 0.03521874999999999, 0.03521874999999999, 0.03521874999999999,
+        0.03521874999999999,
+    ),
+    (4, 8, 2, "min", 0.8): (
+        0.0034999999999999983, 0.0034999999999999983, 0.0034999999999999983, 0.0034999999999999983,
+        0.0034999999999999983,
+    ),
+    (4, 6, 4, "max", 0.3): (0.1327828125, 0.124940625, 0.1340625, 0.1340625, 0.1340625),
+    (4, 6, 4, "max", 0.8): (0.21015, 0.20155, 0.21375, 0.21015, 0.21375),
+    (4, 6, 4, "min", 0.3): (
+        0.07533749999999999, 0.061359374999999994, 0.061359374999999994, 0.05778281249999999,
+        0.06621562499999999,
+    ),
+    (4, 6, 4, "min", 0.8): (
+        0.04634999999999999, 0.03144999999999999, 0.022349999999999995, 0.010149999999999998,
+        0.021949999999999997,
+    ),
+    (4, 8, 4, "max", 0.3): (0.1625, 0.1625, 0.1637796875, 0.1625, 0.1625),
+    (4, 8, 4, "max", 0.8): (0.225, 0.225, 0.2286, 0.225, 0.225),
+    (4, 8, 4, "min", 0.3): (0.0875, 0.0875, 0.0875, 0.08323437499999999, 0.0875),
+    (4, 8, 4, "min", 0.8): (
+        0.024999999999999994, 0.024999999999999994, 0.024999999999999994, 0.020499999999999994,
+        0.024999999999999994,
+    ),
+    (4, 3, 5, "max", 0.3): (
+        0.091695703125, 0.091695703125, 0.090202734375, 0.088923046875, 0.090202734375,
+    ),
+    (4, 3, 5, "max", 0.8): (0.15744375, 0.15744375, 0.15699375000000002, 0.15339375, 0.14889375),
+    (4, 3, 5, "min", 0.3): (
+        0.031180078124999993, 0.047455078124999994, 0.045371484375, 0.03267304687499999,
+        0.04110585937499999,
+    ),
+    (4, 3, 5, "min", 0.8): (
+        0.011543749999999998, 0.023343749999999996, 0.019693749999999996, 0.015193749999999997,
+        0.015193749999999997,
+    ),
+    (4, 7, 5, "max", 0.3): (
+        0.167427734375, 0.182898828125, 0.185671484375, 0.185671484375, 0.17782929687500001,
+    ),
+    (4, 7, 5, "max", 0.8): (
+        0.21821875, 0.26701874999999997, 0.27511874999999997, 0.25071875, 0.26651874999999997,
+    ),
+    (4, 7, 5, "min", 0.3): (
+        0.096991015625, 0.09421835937499999, 0.129212890625, 0.09421835937499999, 0.113955078125,
+    ),
+    (4, 7, 5, "min", 0.8): (
+        0.029668749999999994, 0.025618749999999996, 0.029668749999999994, 0.025618749999999996,
+        0.07396874999999999,
+    ),
+    (5, 8, 8, "max", 0.3): (
+        0.10562500000000001, 0.10562500000000001, 0.10562500000000001, 0.10562500000000001,
+        0.10562500000000001,
+    ),
+    (5, 8, 8, "max", 0.8): (0.2025, 0.2025, 0.2025, 0.2025, 0.2025),
+    (5, 8, 8, "min", 0.3): (
+        0.030624999999999996, 0.030624999999999996, 0.030624999999999996, 0.030624999999999996,
+        0.030624999999999996,
+    ),
+    (5, 8, 8, "min", 0.8): (
+        0.0024999999999999988, 0.0024999999999999988, 0.0024999999999999988, 0.0024999999999999988,
+        0.0024999999999999988,
+    ),
+    (5, 16, 4, "max", 0.3): (0.08978125, 0.08978125, 0.08978125, 0.08978125, 0.08978125),
+    (5, 16, 4, "max", 0.8): (0.09486, 0.09486, 0.09486, 0.09486, 0.09486),
+    (5, 16, 4, "min", 0.3): (
+        0.03521874999999999, 0.03521874999999999, 0.03521874999999999, 0.03521874999999999,
+        0.03521874999999999,
+    ),
+    (5, 16, 4, "min", 0.8): (
+        0.018709999999999997, 0.030139999999999993, 0.030139999999999993, 0.030139999999999993,
+        0.030139999999999993,
+    ),
+    (5, 12, 8, "max", 0.3): (
+        0.10211296875, 0.1036059375, 0.1036059375, 0.108148828125, 0.10211296875,
+    ),
+    (5, 12, 8, "max", 0.8): (
+        0.170775, 0.16227000000000003, 0.16204500000000002, 0.16204500000000002,
+        0.16182000000000002,
+    ),
+    (5, 12, 8, "min", 0.3): (
+        0.083013984375, 0.0844003125, 0.085786640625, 0.0844003125, 0.083013984375,
+    ),
+    (5, 12, 8, "min", 0.8): (
+        0.04880499999999999, 0.04880499999999999, 0.050829999999999986, 0.04880499999999999,
+        0.04880499999999999,
+    ),
+    (5, 16, 8, "max", 0.3): (0.1625, 0.1625, 0.1625, 0.1625, 0.1625),
+    (5, 16, 8, "max", 0.8): (0.225, 0.225, 0.225, 0.225, 0.225),
+    (5, 16, 8, "min", 0.3): (0.0875, 0.0875, 0.0875, 0.0875, 0.0875),
+    (5, 16, 8, "min", 0.8): (
+        0.024999999999999994, 0.024999999999999994, 0.024999999999999994, 0.024999999999999994,
+        0.024999999999999994,
+    ),
+    (5, 3, 5, "max", 0.3): (
+        0.023493310546875, 0.022000341796875003, 0.027513662109375003, 0.019760888671875,
+        0.023493310546875,
+    ),
+    (5, 3, 5, "max", 0.8): (
+        0.05809218750000001, 0.05786718750000001, 0.0706471875, 0.05741718750000001,
+        0.07084968750000001,
+    ),
+    (5, 3, 5, "min", 0.3): (
+        0.0072854003906249985, 0.0076873535156249985, 0.0072854003906249985, 0.0072854003906249985,
+        0.0072854003906249985,
+    ),
+    (5, 3, 5, "min", 0.8): (
+        0.0003296874999999998, 0.00035468749999999975, 0.00030468749999999984,
+        0.00030468749999999984, 0.00030468749999999984,
+    ),
+    (5, 15, 9, "max", 0.3): (
+        0.13929512695312501, 0.13523745117187502, 0.134490966796875, 0.133744482421875,
+        0.13523745117187502,
+    ),
+    (5, 15, 9, "max", 0.8): (0.1853296875, 0.1857796875, 0.1855546875, 0.1853296875, 0.1855546875),
+    (5, 15, 9, "min", 0.3): (
+        0.128256884765625, 0.128256884765625, 0.128256884765625, 0.128256884765625,
+        0.128256884765625,
+    ),
+    (5, 15, 9, "min", 0.8): (
+        0.08419218749999999, 0.08419218749999999, 0.08419218749999999, 0.08419218749999999,
+        0.08419218749999999,
+    ),
+    (6, 16, 16, "max", 0.3): (
+        0.10562500000000001, 0.10562500000000001, 0.10562500000000001, 0.10562500000000001,
+        0.10562500000000001,
+    ),
+    (6, 16, 16, "max", 0.8): (0.2025, 0.2025, 0.2025, 0.2025, 0.2025),
+    (6, 16, 16, "min", 0.3): (
+        0.030624999999999996, 0.030624999999999996, 0.030624999999999996, 0.030624999999999996,
+        0.030624999999999996,
+    ),
+    (6, 16, 16, "min", 0.8): (
+        0.0024999999999999988, 0.0024999999999999988, 0.0024999999999999988, 0.0024999999999999988,
+        0.0024999999999999988,
+    ),
+    (6, 32, 8, "max", 0.3): (0.08978125, 0.08978125, 0.08978125, 0.08978125, 0.08978125),
+    (6, 32, 8, "max", 0.8): (0.078884, 0.078884, 0.107587, 0.08321875, 0.078884),
+    (6, 32, 8, "min", 0.3): (
+        0.03521874999999999, 0.03521874999999999, 0.03521874999999999, 0.03521874999999999,
+        0.03521874999999999,
+    ),
+    (6, 32, 8, "min", 0.8): (
+        0.046116, 0.046116, 0.04168, 0.032118249999999994, 0.031611999999999994,
+    ),
+    (6, 24, 16, "max", 0.3): (
+        0.10101547265625, 0.10125808007812499, 0.100115384765625, 0.10108581445312499,
+        0.100945130859375,
+    ),
+    (6, 24, 16, "max", 0.8): (0.151946, 0.15143725, 0.15255225, 0.1525535, 0.15234975),
+    (6, 24, 16, "min", 0.3): (
+        0.084062671875, 0.08419330664062499, 0.0832202109375, 0.08419330664062499,
+        0.083932037109375,
+    ),
+    (6, 24, 16, "min", 0.8): (
+        0.05447024999999999, 0.0553815, 0.05351399999999999, 0.053536499999999994,
+        0.05449274999999999,
+    ),
+    (6, 32, 16, "max", 0.3): (0.1625, 0.1625, 0.1625, 0.1625, 0.1625),
+    (6, 32, 16, "max", 0.8): (0.225, 0.225, 0.225, 0.225, 0.225),
+    (6, 32, 16, "min", 0.3): (0.0875, 0.0875, 0.0875, 0.0875, 0.0875),
+    (6, 32, 16, "min", 0.8): (
+        0.024999999999999994, 0.024999999999999994, 0.024999999999999994, 0.024999999999999994,
+        0.024999999999999994,
+    ),
+    (6, 3, 5, "max", 0.3): (
+        0.008941940185546875, 0.009392496826171876, 0.008271303955078125, 0.008271303955078125,
+        0.009392496826171876,
+    ),
+    (6, 3, 5, "max", 0.8): (
+        0.031062234375, 0.031062234375, 0.031791234375000005, 0.028601859375000004, 0.031062234375,
+    ),
+    (6, 3, 5, "min", 0.3): (
+        0.0015839465332031246, 0.0019758508300781246, 0.0022371203613281245, 0.0015839465332031246,
+        0.002498389892578125,
+    ),
+    (6, 3, 5, "min", 0.8): (
+        8.085937499999996e-05, 0.00011460937499999994, 0.00013710937499999992,
+        0.00010335937499999995, 0.0001258593749999999,
+    ),
+    (6, 31, 17, "max", 0.3): (
+        0.13032513256835937, 0.12959731030273436, 0.12935470288085937, 0.12983991772460937,
+        0.12959731030273436,
+    ),
+    (6, 31, 17, "max", 0.8): (
+        0.16700073437500002, 0.16700073437500002, 0.16679823437500002, 0.16700073437500002,
+        0.16669698437500002,
+    ),
+    (6, 31, 17, "min", 0.3): (
+        0.12688472583007812, 0.12701536059570312, 0.12701536059570312, 0.12701536059570312,
+        0.12688472583007812,
+    ),
+    (6, 31, 17, "min", 0.8): (
+        0.092335359375, 0.092346609375, 0.092357859375, 0.092346609375, 0.092357859375,
+    ),
+}
 
 
 class TestFullCorrelation:
