@@ -185,149 +185,128 @@ _KAPPA_MAX = 1e3
 # Pattern-search directions in (u, v, z) log coordinates: the six axis moves
 # plus the four (u, v) diagonals.  The diagonals matter because the objective
 # has a narrow valley along u = v near the excluded band where axis-only
-# search stalls.
-_STENCIL = (
-    (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-    (1, 1, 0), (-1, -1, 0), (1, -1, 0), (-1, 1, 0),
-)
+# search stalls.  Shape (3, 1, 10): coordinate, start, move.
+_STENCIL = np.array(
+    [
+        (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+        (1, 1, 0), (-1, -1, 0), (1, -1, 0), (-1, 1, 0),
+    ],
+    dtype=float,
+).T[:, None, :]
 
 
-def _stable_power_term(u: float, a: float, p: float) -> float:
-    """(e^(p u) a + 1 - a)^(1/p) - 1 without cancellation, any p != 0."""
-    if abs(p) < 1e-12:
-        return math.expm1(a * u)
-    x = p * u
-    if x > 40.0:
-        ln_f = u + (math.log(a) + math.log1p((1.0 - a) / a * math.exp(-x))) / p
-    elif x < -40.0:
-        ln_f = (math.log(1.0 - a) + math.log1p(a / (1.0 - a) * math.exp(x))) / p
-    else:
-        ln_f = math.log1p(a * math.expm1(x)) / p
-    return math.expm1(ln_f)
+def _certificate(u, v, k, a, b, rho):
+    """The certificate functional at s = e^u, t = e^v, kappa = k, elementwise.
 
-
-def _certificate_value(u: float, v: float, k: float, a: float, b: float, rho: float) -> float:
-    """The certificate functional at s = e^u, t = e^v, kappa = k.
-
-    Algebraically rearranged so the three O(eps) differences are formed from
-    expm1/log1p outputs rather than by subtracting near-equal large terms;
-    the naive form loses eight digits near the excluded band.
+    With kappa' = 1 + rho^2/(kappa - 1), F_s = (a s^kappa' + 1 - a)^(1/kappa')
+    and F_t = (b t^kappa + 1 - b)^(1/kappa), the functional is
+    (F_s F_t - 1)/((s - 1)(t - 1)) - a/(t - 1) - b/(s - 1).  It is evaluated
+    as ((E_s - a e_s) + (E_t - b e_t) + E_s E_t)/(e_s e_t) with E = F - 1 and
+    e = s - 1 or t - 1 taken from expm1/log1p, so no O(eps) difference is
+    formed by subtracting near-equal large terms; the naive form loses eight
+    digits near the excluded band.  ``u``, ``v`` and ``k`` share one shape;
+    the two power terms are computed together along a new leading axis.
+    The value is nan at kappa' = 0, where the point counts as infeasible.
     """
-    kp = 1.0 + rho * rho / (k - 1.0)
-    es = _stable_power_term(u, a, kp)
-    et = _stable_power_term(v, b, k)
-    if not (math.isfinite(es) and math.isfinite(et)):
-        return math.nan
-    eps_s = math.expm1(u)
-    eps_t = math.expm1(v)
-    return ((es - a * eps_s) + (et - b * eps_t) + es * et) / (eps_s * eps_t)
+    x = np.array((u, v))
+    p = np.array((1.0 + rho * rho / (k - 1.0), k))
+    d = np.array((a, b)).reshape((2,) + (1,) * np.ndim(u))
+    with np.errstate(all="ignore"):
+        y = p * x
+        # ln(d e^y + 1 - d): past y = 700 the exponential would overflow, and
+        # the excess y - 700 adds to the logarithm up to a relative e^-700/d.
+        big_e = np.expm1(
+            (np.log1p(d * np.expm1(np.minimum(y, 700.0))) + np.maximum(y - 700.0, 0.0)) / p
+        )
+        eps = np.expm1(x)
+        head = big_e - d * eps
+        return (head[0] + head[1] + big_e[0] * big_e[1]) / (eps[0] * eps[1])
 
 
-def _hc_pattern(a, b, rho, sign, u, v, z, branch, cfg) -> tuple[float, bool] | None:
-    """Refine one grid candidate.
+def _scores(u, v, z, branch, sign, a, b, rho):
+    """``sign`` times the certificate where it bounds that side, else +inf.
 
-    Returns (value, converged) or None for an infeasible start.  Every
-    feasible evaluation is a valid bound on its own, so exhausting the sweep
-    budget costs tightness, never validity; the flag reports which happened.
+    The point (u, v, kappa = 1 + branch e^z) bounds the agreement probability
+    from above (sign +1) where u v (kappa - 1) > 0 and from below (sign -1)
+    where it is negative; either side minimizes its score.  The point is
+    infeasible for a side unless it lies on that side, kappa is in
+    [_KAPPA_MIN, _KAPPA_MAX] and the value is finite.  Callers keep u and v
+    outside the excluded band.
     """
-
-    def value(uu, vv, zz):
-        k = 1.0 + branch * math.exp(zz)
-        if not _KAPPA_MIN <= k <= _KAPPA_MAX:
-            return None
-        prod_sign = math.copysign(1, uu) * math.copysign(1, vv) * math.copysign(1, k - 1.0)
-        if (prod_sign > 0) != (sign > 0):
-            return None
-        f = _certificate_value(uu, vv, k, a, b, rho)
-        return f if math.isfinite(f) else None
-
-    def clamp_band(x):
-        if abs(x) >= cfg.exclusion:
-            return x
-        return cfg.exclusion if x >= 0 else -cfg.exclusion
-
-    best = value(u, v, z)
-    if best is None:
-        return None
-    best *= sign
-    step = 0.7
-    sweeps = 0
-    while step > cfg.rel_tol:
-        sweeps += 1
-        if sweeps > cfg.refine_sweeps:
-            return best * sign, False
-        move = None
-        for du, dv, dz in _STENCIL:
-            uu = clamp_band(u + du * step)
-            vv = clamp_band(v + dv * step)
-            zz = z + dz * step
-            f = value(uu, vv, zz)
-            if f is not None and f * sign < best - 1e-15:
-                best = f * sign
-                move = (uu, vv, zz)
-        if move is None:
-            step *= 0.5
-        else:
-            u, v, z = move
-    return best * sign, True
+    k = 1.0 + branch * np.exp(z)
+    score = sign * _certificate(u, v, k, a, b, rho)
+    on_side = u * v * branch * sign > 0.0
+    ok = on_side & (k >= _KAPPA_MIN) & (k <= _KAPPA_MAX) & np.isfinite(score)
+    return np.where(ok, score, np.inf)
 
 
-def _hc_grid_candidates(a, b, rho, sign, cfg):
-    """Coarse scan over both kappa branches; top two feasible cells of each."""
-    npts = cfg.grid_points
-    u = np.linspace(-_LOG_LIMIT, _LOG_LIMIT, npts)
-    cands = []
+def _hc_search(a, b, rho, cfg):
+    """Both certificate bounds: a grid scan, then one lockstep pattern search.
+
+    The grid is scored once per kappa branch, each cell for the side it lies
+    on; the best two cells of each side and branch start a pattern search.
+    All starts move together, each with its own step, and one ``_scores``
+    call per sweep evaluates every stencil move of every start.  A start stops
+    when its step falls to ``rel_tol`` (converged) or after ``refine_sweeps``
+    sweeps.  Every feasible point is a valid bound on its own, so an exhausted
+    budget costs tightness, never validity.
+
+    Returns, for the upper and then the lower side, (value, converged, kappa
+    branch of the winning start, last improvement of the winning start).
+    """
+    axis = np.linspace(-_LOG_LIMIT, _LOG_LIMIT, cfg.grid_points)
+    axis = axis[np.abs(axis) >= cfg.exclusion]
+    starts = []
     for branch in (1.0, -1.0):
         z_hi = math.log(_KAPPA_MAX - 1.0) if branch > 0 else math.log(1.0 - _KAPPA_MIN)
-        z = np.linspace(math.log(1e-4), z_hi, npts)
-        uu, vv, zz = np.meshgrid(u, u, z, indexing="ij")
-        s, t = np.exp(uu), np.exp(vv)
-        k = 1.0 + branch * np.exp(zz)
-        feasible = (
-            (((s - 1.0) * (t - 1.0) * (k - 1.0) > 0) == (sign > 0))
-            & (np.abs(uu) >= cfg.exclusion)
-            & (np.abs(vv) >= cfg.exclusion)
-        )
-        with np.errstate(all="ignore"):
-            kp = 1.0 + rho * rho / (k - 1.0)
-            fs = np.exp(np.log1p(a * np.expm1(kp * uu)) / kp)
-            ft = np.exp(np.log1p(b * np.expm1(k * vv)) / k)
-            vals = (fs * ft - 1.0) / ((s - 1.0) * (t - 1.0)) - a / (t - 1.0) - b / (s - 1.0)
-        vals = np.where(feasible & np.isfinite(vals), vals, np.nan)
-        flat = (vals * sign).ravel()
-        order = np.argsort(flat)
-        for idx in order[:2]:
-            if np.isnan(flat[idx]):
-                break
-            cands.append(
-                (float(uu.ravel()[idx]), float(vv.ravel()[idx]), branch, float(zz.ravel()[idx]))
-            )
-    return cands
-
-
-def _hc_side(a, b, rho, sign, cfg) -> tuple[float, bool]:
-    cands = _hc_grid_candidates(a, b, rho, sign, cfg)
-    if not cands:
+        z = np.linspace(math.log(1e-4), z_hi, cfg.grid_points)
+        cells = np.meshgrid(axis, axis, z, indexing="ij")
+        side = np.sign(cells[0] * cells[1] * branch)
+        score = _scores(*cells, branch, side, a, b, rho)
+        for sign in (1.0, -1.0):
+            flat = np.where(side == sign, score, np.inf).ravel()
+            for idx in np.argpartition(flat, 1)[:2]:
+                if np.isfinite(flat[idx]):
+                    starts.append((sign, branch, flat[idx], [c.flat[idx] for c in cells]))
+    if {start[0] for start in starts} != {1.0, -1.0}:
         raise ConvergenceError(
             f"no feasible certificate grid cell for densities ({a}, {b}) at rho {rho}"
         )
-    best = None
-    converged = False
-    for u, v, branch, z in cands:
-        out = _hc_pattern(a, b, rho, sign, u, v, z, branch, cfg)
-        if out is None:
-            continue
-        f, ok = out
-        if best is None or f * sign < best * sign:
-            best = f
-            converged = ok
-        elif f == best:
-            converged = converged or ok
-    if best is None:
-        raise ConvergenceError(
-            f"all certificate starts infeasible for densities ({a}, {b}) at rho {rho}"
-        )
-    return best, converged
+
+    sign, branch, best, pos = (np.array(col) for col in zip(*starts))
+    pos = pos.T
+    # Per move, so that every array of a sweep has the shape (start, move).
+    moves = _STENCIL.shape[-1]
+    sign_m, branch_m = np.repeat(sign[:, None], moves, 1), np.repeat(branch[:, None], moves, 1)
+    gain = np.zeros(len(starts))
+    step = np.full(len(starts), 0.7)
+    rows = np.arange(len(starts))
+    # All starts begin together, so those still refining after refine_sweeps
+    # sweeps are exactly those that exhausted their budget.
+    for _ in range(cfg.refine_sweeps):
+        live = step > cfg.rel_tol
+        if not live.any():
+            break
+        cand = pos[:, :, None] + _STENCIL * step[:, None]
+        uv = cand[:2]  # pushed out of the excluded band, keeping its sign
+        np.copysign(np.maximum(np.abs(uv), cfg.exclusion), uv, out=uv)
+        score = _scores(*cand, branch_m, sign_m, a, b, rho)
+        pick = score.argmin(1)
+        found = score[rows, pick]
+        moved = live & (found < best - 1e-15)
+        gain = np.where(moved, best - found, gain)
+        best = np.where(moved, found, best)
+        pos = np.where(moved, cand[:, rows, pick], pos)
+        step = np.where(moved, step, 0.5 * step)
+
+    out = []
+    for side in (1.0, -1.0):
+        mine = np.flatnonzero(sign == side)
+        win = mine[np.argmin(best[mine])]
+        tied = mine[best[mine] == best[win]]
+        converged = bool(np.any(step[tied] <= cfg.rel_tol))
+        out.append((float(side * best[win]), converged, branch[win], gain[win]))
+    return out
 
 
 def hc_bounds(
@@ -357,12 +336,18 @@ def hc_bounds(
             RuntimeWarning,
             stacklevel=2,
         )
-    ub, ub_ok = _hc_side(a, b, rho, +1, cfg)
-    lb, lb_ok = _hc_side(a, b, rho, -1, cfg)
-    if not (ub_ok and lb_ok):
+    (ub, *_), (lb, *_) = sides = _hc_search(a, b, rho, cfg)
+    stalled = [
+        f"the {name} bound's winning start (kappa {'above' if branch > 0 else 'below'} 1) "
+        f"last improved by {gain:.3g}"
+        for name, (_, converged, branch, gain) in zip(("upper", "lower"), sides)
+        if not converged
+    ]
+    if stalled:
         _warnings.warn(
-            "certificate refinement hit its sweep budget; the bounds are valid "
-            "but may not be fully tightened",
+            f"certificate refinement hit its sweep budget at densities ({a}, {b}), "
+            f"rho {rho}: {'; '.join(stalled)}; the bounds are valid but may not be "
+            "fully tightened",
             RuntimeWarning,
             stacklevel=2,
         )

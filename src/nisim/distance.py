@@ -106,14 +106,17 @@ def _transform_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
 def distance_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DistanceDistribution:
     """Distribution of Hamming distance over all pairs in A x B (B defaults to A).
 
-    Small products of sizes are counted pairwise; larger ones go through an
-    XOR convolution, which needs the transform-feasible dimension range.
+    Pairs are counted one by one when that is cheaper than an XOR
+    convolution, which costs about as much as 2 n 2^n pairs and, for its fixed
+    overhead, at least as much as 2^15 pairs; past ``PAIRWISE_LIMIT`` pairs
+    never.  The convolution needs the transform-feasible dimension range.
+    Both paths give exact counts.
     """
     if b is None:
         b = a
     if a.n != b.n:
         raise DimensionMismatchError(f"code dimensions differ: {a.n} vs {b.n}")
-    if a.size * b.size <= PAIRWISE_LIMIT:
+    if a.size * b.size <= min(PAIRWISE_LIMIT, max(2 * a.n << a.n, 1 << 15)):
         counts = _pairwise_counts(a, b)
     else:
         if a.n > MAX_TRANSFORM_DIM:

@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
+from statistics import NormalDist
 
 import pytest
 
@@ -21,6 +23,7 @@ from nisim import (
     theta_minus,
     theta_plus,
 )
+from nisim.bounds import _certificate
 from nisim.errors import ParameterRangeError
 
 from conftest import random_code
@@ -254,6 +257,115 @@ class TestHcBounds:
             hc_bounds(0.0, 0.5, 0.5)
         with pytest.raises(ParameterRangeError):
             hc_bounds(0.3, 0.4, 1.5)
+
+
+def naive_certificate_60_digits(u, v, k, a, b, rho):
+    """The certificate functional in its textbook form, in 60-digit decimal:
+    (F_s F_t - 1)/((s-1)(t-1)) - a/(t-1) - b/(s-1) with s = e^u, t = e^v,
+    F_s = (a s^k' + 1 - a)^(1/k'), F_t = (b t^k + 1 - b)^(1/k), k' = 1 + rho^2/(k-1)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        u, v, k, a, b, rho = (Decimal(x) for x in (u, v, k, a, b, rho))
+        s, t = u.exp(), v.exp()
+        kp = 1 + rho * rho / (k - 1)
+        f_s = ((a * (kp * u).exp() + 1 - a).ln() / kp).exp()
+        f_t = ((b * (k * v).exp() + 1 - b).ln() / k).exp()
+        return float((f_s * f_t - 1) / ((s - 1) * (t - 1)) - a / (t - 1) - b / (s - 1))
+
+
+def achievable_pair_values(a, b, rho):
+    """Agreement probabilities some pair of sets attains (in the limit of
+    large n), as (low, high): opposite and nested subcubes when both
+    densities are powers of two, else parallel Gaussian half-spaces
+    P(X <= h_a, +-Y <= h_b) by Simpson's rule."""
+    ka, kb = -math.log2(a), -math.log2(b)
+    if ka.is_integer() and kb.is_integer():
+        common, extra = min(ka, kb), abs(ka - kb)
+        return ((1 - rho) / 4) ** common / 2**extra, ((1 + rho) / 4) ** common / 2**extra
+    normal = NormalDist()
+    h_a, h_b = normal.inv_cdf(a), normal.inv_cdf(b)
+
+    def joint(r, steps=2000):
+        lo = -12.0
+        width = (h_a - lo) / steps
+        f = lambda x: normal.pdf(x) * normal.cdf((h_b - r * x) / math.sqrt(1 - r * r))
+        inner = sum((4 if i % 2 else 2) * f(lo + i * width) for i in range(1, steps))
+        return (f(lo) + f(h_a) + inner) * width / 3
+
+    return joint(-rho), joint(rho)
+
+
+class TestCertificateFunctional:
+    @pytest.mark.parametrize(
+        "u, v, k",
+        [
+            (2e-4, -2.1e-4, 3.0),  # next to the excluded band: the naive form cancels
+            (2.1e-4, 1.9e-4, 0.4),
+            (2.0, 0.5, 1.0005),  # kappa' u = 1002: e^(kappa' u) overflows a float
+            (0.9, 1.0, 60.0),  # kappa v = 60
+            (0.7, -0.4, 0.75 + 1e-10),  # kappa near 1 - rho^2, so kappa' near 0
+            (0.3, -0.5, 2.0),
+        ],
+    )
+    def test_matches_sixty_digit_naive_formula(self, u, v, k):
+        a, b, rho = 0.25, 0.3, 0.5
+        want = naive_certificate_60_digits(u, v, k, a, b, rho)
+        got = float(_certificate(u, v, k, a, b, rho))
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+
+# hc_bounds(a, b, rho) as the scalar pattern search computed it before the
+# grid and the refinement shared one array evaluator: (a, b, rho, lb, ub).
+PINNED_HC_BOUNDS = (
+    (0.02, 0.02, 0.1, 0.00016840544230889548, 0.000811997394080575),
+    (0.02, 0.02, 0.5, 0.0, 0.005384003391949923),
+    (0.02, 0.02, 0.9, 0.0, 0.016233035238948285),
+    (0.03125, 0.03125, 0.1, 0.0004550351247561878, 0.0018249423029717366),
+    (0.03125, 0.03125, 0.5, 0.0, 0.009726839205962904),
+    (0.03125, 0.03125, 0.9, 0.0, 0.02594001761872663),
+    (0.0625, 0.0625, 0.1, 0.002135652718174444, 0.00640958669470694),
+    (0.0625, 0.0625, 0.5, 1.7284292033257683e-05, 0.024310160227467327),
+    (0.0625, 0.0625, 0.9, 0.0, 0.05368823735985246),
+    (0.125, 0.125, 0.1, 0.010065970290177452, 0.02245597125918672),
+    (0.125, 0.125, 0.5, 0.00031249999999922236, 0.060530155647129213),
+    (0.125, 0.125, 0.9, 0.0, 0.11103031093026872),
+    (0.25, 0.25, 0.1, 0.04767052241670224, 0.07848756119264942),
+    (0.25, 0.25, 0.5, 0.006249999999977945, 0.15029689449066058),
+    (0.25, 0.25, 0.9, 0.0, 0.22950753514374847),
+    (0.5, 0.5, 0.1, 0.22499999999138803, 0.27500000000951264),
+    (0.5, 0.5, 0.5, 0.12499999996171887, 0.3750000000385329),
+    (0.5, 0.5, 0.9, 0.024999999983285042, 0.4750000000176019),
+    (0.125, 0.25, 0.5, 0.001470536046920197, 0.09023141246561396),
+    (0.0625, 0.5, 0.3, 0.011106214150045556, 0.051393785849954444),
+)
+# Calls in the panel above whose sweep budget ran out: (1/8, 1/8, 0.9),
+# (1/4, 1/4, 0.9) and (1/8, 1/4, 0.5).
+PINNED_BUDGET_WARNINGS = 3
+
+
+class TestPinnedHcBounds:
+    def test_matches_or_tightens_pinned_values(self):
+        warned = 0
+        for a, b, rho, old_lb, old_ub in PINNED_HC_BOUNDS:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                lb, ub = hc_bounds(a, b, rho)
+            warned += len(caught)
+            low, high = achievable_pair_values(a, b, rho)
+            assert abs(lb - old_lb) <= 1e-9 or old_lb < lb <= low + 1e-12, (a, b, rho, lb)
+            assert abs(ub - old_ub) <= 1e-9 or high - 1e-12 <= ub < old_ub, (a, b, rho, ub)
+        assert warned == PINNED_BUDGET_WARNINGS
+
+    def test_budget_warning_names_instance_side_and_branch(self):
+        cfg = HcOptimizerConfig(refine_sweeps=5)
+        with pytest.warns(RuntimeWarning) as caught:
+            hc_bounds(0.25, 0.3, 0.5, config=cfg)
+        assert len(caught) == 1
+        text = str(caught[0].message)
+        assert "sweep budget at densities (0.25, 0.3), rho 0.5" in text
+        assert "the upper bound's winning start (kappa" in text
+        assert "the lower bound's winning start (kappa" in text
+        assert "last improved by" in text
 
 
 class TestCombinedReport:

@@ -58,6 +58,24 @@ class TestDistanceDistribution:
             tr = _transform_counts(a, b)
             assert np.array_equal(pw, tr)
 
+    @pytest.mark.parametrize("n, m", [(8, 256), (12, 256), (16, 4096)])
+    def test_path_choice_by_cost(self, rng, monkeypatch, n, m):
+        """At most max(2 n 2^n, 2^15) pairs are counted pairwise, one more goes
+        through the transform; both give the exact counts of a double loop."""
+        used = []
+        for fn in (_pairwise_counts, _transform_counts):
+            spy = lambda a, b, fn=fn: used.append(fn.__name__) or fn(a, b)
+            monkeypatch.setattr(f"nisim.distance.{fn.__name__}", spy)
+        threshold = max(2 * n << n, 1 << 15)
+        code_a = random_code(rng, n, size=m)
+        sides = ((threshold // m, "_pairwise_counts"), (threshold // m + 1, "_transform_counts"))
+        for size_b, path in sides:
+            code_b = random_code(rng, n, size=size_b)
+            used.clear()
+            got = distance_distribution(code_a, code_b)
+            assert used == [path]
+            assert got.p == tuple(brute_distance_distribution(code_a, code_b))
+
     def test_moments(self):
         code = subcube(3, 1)
         dist = distance_distribution(code, complement(code))
