@@ -318,9 +318,10 @@ def hc_bounds(
     region, the lower bound the supremum over the complementary region; any
     feasible certificate point already gives a valid one-sided bound, so an
     exhausted refinement budget degrades tightness only (reported through a
-    RuntimeWarning).  At rho = 0 both collapse to ab.  At rho = 1 the
-    optimization still runs but the certificate family is being used at the
-    edge of its domain, so a RuntimeWarning flags that too.
+    RuntimeWarning).  At rho = 0 both collapse to ab.  At rho = 1 the two
+    inputs coincide, so the agreement probability is the overlap of two sets
+    of measures a and b, and the exact range (max(0, a + b - 1), min(a, b)) is
+    returned without a search.
     """
     cfg = config if config is not None else HcOptimizerConfig()
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
@@ -330,12 +331,7 @@ def hc_bounds(
     if rho == 0.0:
         return a * b, a * b
     if rho == 1.0:
-        _warnings.warn(
-            "certificate bounds at full correlation come from a wide-domain grid "
-            "optimization and may be loose",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        return max(0.0, a + b - 1.0), min(a, b)
     (ub, *_), (lb, *_) = sides = _hc_search(a, b, rho, cfg)
     stalled = [
         f"the {name} bound's winning start (kappa {'above' if branch > 0 else 'below'} 1) "

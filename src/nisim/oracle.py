@@ -2,9 +2,11 @@
 
 ``exhaustive_extremes`` finds the exact extremes of the agreement probability
 (or average distance) over all code pairs of given sizes, pruning by symmetry:
-the first code ranges over orbit representatives, the second over everything.
-Float scores select near-optimal candidates, exact rational re-evaluation
-breaks ties, and witnesses are reported as jointly canonicalized pairs.
+the first code ranges over orbit representatives, the second is its exact best
+response, read off one sorted column of the pair kernel with every tied choice
+kept.  Float scores select near-optimal candidates, exact rational
+re-evaluation breaks ties, and witnesses are reported as jointly canonicalized
+pairs.
 
 ``local_search`` scales to larger blocklengths by alternating exact best
 responses: against a fixed partner the best code of a given size is read off
@@ -59,11 +61,12 @@ class OracleResult:
 
     Exactly one objective's fields are populated: (max_q, min_q) for the
     agreement probability, (max_d, min_d) for average distance.  A local
-    search fills only the requested direction.  ``pairs_evaluated`` counts
-    every pair scored by an exhaustive search; for a local search it is the sum
-    over starts of (rounds + 1), a round being a best response that changed a
-    code.  ``wall_time_s`` is measured and therefore excluded from serialized
-    output.
+    search fills only the requested direction.  For an exhaustive search
+    ``pairs_evaluated`` is the number of pairs covered, orbit representatives
+    times every second code of the requested size; for a local search it is
+    the sum over starts of (rounds + 1), a round being a best response that
+    changed a code.  ``wall_time_s`` is measured and therefore excluded from
+    serialized output.
     """
 
     n: int
@@ -148,39 +151,27 @@ def _exact_collision(a_words, b_words, rho: float, n: int) -> Fraction:
     return total
 
 
-class _Winnow:
-    """Keeps the running float optimum and every candidate within tolerance."""
+def _best_responses(reps, kernel, n_second: int, tol: float, sign: int):
+    """Pairs (A, B) within ``tol`` of the extreme of sign * 1_A K 1_B.
 
-    def __init__(self, sign: int, tol: float):
-        self.sign = sign
-        self.tol = tol
-        self.best = -math.inf
-        self.cands: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def offer(self, score_vec: np.ndarray, a_words, combos: np.ndarray) -> None:
-        vec = score_vec * self.sign
-        top = float(vec.max())
-        if top > self.best + self.tol:
-            self.best = top
-            self.cands.clear()
-        elif top < self.best - self.tol:
-            return
-        self.best = max(self.best, top)
-        for idx in np.flatnonzero(vec >= self.best - self.tol):
-            self.cands.append((tuple(a_words), tuple(int(w) for w in combos[idx])))
-
-
-def _scan_reps(reps, kernel, combos, tol):
-    hi = _Winnow(+1, tol)
-    lo = _Winnow(-1, tol)
-    pairs = 0
-    for a_words in reps:
-        col = kernel[list(a_words)].sum(axis=0)
-        scores = col[combos].sum(axis=1)
-        hi.offer(scores, a_words, combos)
-        lo.offer(scores, a_words, combos)
-        pairs += combos.shape[0]
-    return hi, lo, pairs
+    For a representative A the best B of size n_second is the top n_second
+    entries of the column sign * kernel[A].sum(0): every entry above the
+    boundary entry, filled up in every possible way from the entries within
+    ``tol`` of it, so float rounding cannot hide an exactly optimal B.  Only
+    representatives whose best score is within ``tol`` of the overall best
+    contribute.
+    """
+    cols = sign * kernel[np.array(reps)].sum(axis=1)
+    top = np.sort(cols, axis=1)[:, ::-1][:, :n_second]
+    scores = top.sum(axis=1)
+    cands = []
+    for i in np.flatnonzero(scores >= scores.max() - tol):
+        edge = top[i, -1]
+        above = np.flatnonzero(cols[i] > edge + tol).tolist()
+        tied = np.flatnonzero(abs(cols[i] - edge) <= tol).tolist()
+        for fill in itertools.combinations(tied, n_second - len(above)):
+            cands.append((reps[i], tuple(sorted(above + list(fill)))))
+    return cands
 
 
 def _pick_witness(cands, n):
@@ -226,21 +217,21 @@ def exhaustive_extremes(
 
     start = time.perf_counter()
     reps = _orbit_reps(n, m)
-    combos = np.array(list(itertools.combinations(range(size), n_second)), dtype=np.int64)
     dists = _distance_kernel(n)
     if objective == "collision":
-        hi, lo, pairs = _scan_reps(reps, _weight_table(n, rho)[dists], combos, _SCORE_TOL)
+        kernel, tol = _weight_table(n, rho)[dists], _SCORE_TOL
     else:
-        hi, lo, pairs = _scan_reps(reps, dists, combos, 0.0)
+        kernel, tol = dists, 0.0
 
-    def resolve(win: _Winnow, sign: int):
+    def resolve(sign: int):
+        cands = _best_responses(reps, kernel, n_second, tol, sign)
         if objective == "collision":
-            exact = [(c, _exact_collision(c[0], c[1], rho, n)) for c in win.cands]
+            exact = [(c, _exact_collision(c[0], c[1], rho, n)) for c in cands]
             best = max(v * sign for _, v in exact)
             winners = [c for c, v in exact if v * sign == best]
         else:
-            # integer scores: the winnow already kept exact optima only
-            winners = win.cands
+            # integer scores with zero tolerance: every candidate is optimal
+            winners = cands
         pair = _pick_witness(winners, n)
         if objective == "collision":
             value = collision_prob(pair[0], pair[1], rho)
@@ -248,8 +239,8 @@ def exhaustive_extremes(
             value = distance_moment(distance_distribution(pair[0], pair[1]), 1)
         return value, pair
 
-    hi_value, hi_pair = resolve(hi, +1)
-    lo_value, lo_pair = resolve(lo, -1)
+    hi_value, hi_pair = resolve(+1)
+    lo_value, lo_pair = resolve(-1)
     elapsed = time.perf_counter() - start
 
     common = dict(
@@ -261,7 +252,7 @@ def exhaustive_extremes(
         exhaustive=True,
         witness_max=hi_pair,
         witness_min=lo_pair,
-        pairs_evaluated=pairs,
+        pairs_evaluated=len(reps) * math.comb(size, n_second),
         orbits_enumerated=len(reps),
         wall_time_s=elapsed,
     )

@@ -226,9 +226,13 @@ class TestHcBounds:
         assert abs(lb - 0.125) <= 1e-4
         assert abs(ub - 0.375) <= 1e-4
 
-    def test_perfect_correlation_warns(self):
-        with pytest.warns(RuntimeWarning):
-            hc_bounds(0.25, 0.25, 1.0)
+    def test_perfect_correlation_is_exact_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hc_bounds(0.25, 0.25, 1.0) == (0.0, 0.25)
+            assert hc_bounds(0.5, 0.5, 1.0) == (0.0, 0.5)
+            assert hc_bounds(0.3, 0.9, 1.0) == (0.3 + 0.9 - 1.0, 0.3)
+            assert hc_bounds(0.75, 0.5, 1.0) == (0.25, 0.5)
 
     def test_interval_ordered(self, rng):
         for _ in range(10):

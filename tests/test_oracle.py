@@ -1,7 +1,10 @@
 """Exhaustive and heuristic searches for extremal code pairs."""
 
+import hashlib
 import json
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -88,8 +91,20 @@ class TestExhaustiveCollision:
     def test_result_counts_are_plausible(self, extremes_cache):
         res = extremes_cache(3, 3, 5, 0.5)
         assert res.exhaustive
-        assert res.orbits_enumerated >= 1
-        assert res.pairs_evaluated >= math.comb(8, 5)
+        assert res.pairs_evaluated == res.orbits_enumerated * math.comb(8, 5)
+        # orbits of m-subsets of the n-cube under its symmetry group (Burnside);
+        # with the empty set they total 22 and 402 (OEIS A000616)
+        for n, counts, total in (
+            (3, [1, 3, 3, 6, 3, 3, 1, 1], 22),
+            (4, [1, 4, 6, 19, 27, 50, 56, 74, 56, 50, 27, 19, 6, 4, 1, 1], 402),
+        ):
+            found = []
+            for m in range(1, (1 << n) + 1):
+                res = exhaustive_extremes(n, m, 2, 0.5)
+                assert res.pairs_evaluated == res.orbits_enumerated * math.comb(1 << n, 2)
+                found.append(res.orbits_enumerated)
+            assert found == counts
+            assert 1 + sum(counts) == total
 
     def test_budget_refusal_is_immediate(self):
         with pytest.raises(SearchBudgetError) as err:
@@ -103,6 +118,67 @@ class TestExhaustiveCollision:
             exhaustive_extremes(3, 0, 4, 0.5)
         with pytest.raises(ParameterRangeError):
             exhaustive_extremes(3, 4, 4, 1.5)
+
+
+# sha256 of json.dumps([r.to_json_dict() ...], sort_keys=True) over every size
+# pair at n <= 3, each at rho -1, -0.5, 0.1, 0.9, 1 and then the distance
+# objective, as produced by scoring every representative against all
+# C(2^n, n2) second codes.
+EXHAUSTIVE_PANEL_SHA256 = "379e20930815143491ab4c01201489b92ffb4d96d9bcdf2ffb7e7962bd01c510"
+
+
+def test_exhaustive_outputs_are_pinned():
+    results = []
+    for n in (1, 2, 3):
+        for m in range(1, (1 << n) + 1):
+            for n_second in range(1, (1 << n) + 1):
+                for rho in (-1.0, -0.5, 0.1, 0.9, 1.0):
+                    results.append(exhaustive_extremes(n, m, n_second, rho).to_json_dict())
+                results.append(exhaustive_distance_extremes(n, m, n_second).to_json_dict())
+    assert len(results) == 504
+    text = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_PANEL_SHA256
+
+
+class TestBestResponses:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("rho", [0.3, 0.7, None])
+    def test_candidates_cover_every_exact_optimum(self, n, rho):
+        """Every B that is exactly optimal against a representative, and every
+        globally optimal pair, is among the candidates."""
+        size = 1 << n
+        dists = oracle._distance_kernel(n)
+        if rho is None:
+            kernel, tol = dists, 0.0
+            weight = list(range(n + 1))
+        else:
+            kernel, tol = oracle._weight_table(n, rho)[dists], oracle._SCORE_TOL
+            lo, hi = (1 - Fraction(rho)) / 4, (1 + Fraction(rho)) / 4
+            weight = [lo**d * hi ** (n - d) for d in range(n + 1)]
+        for m in range(1, size + 1):
+            reps = _orbit_reps(n, m)
+            for n_second in range(1, size + 1):
+                exact = {
+                    a: {
+                        b: sum(weight[bin(x ^ y).count("1")] for x in a for y in b)
+                        for b in combinations(range(size), n_second)
+                    }
+                    for a in reps
+                }
+                for sign in (1, -1):
+                    for a, own in exact.items():
+                        top = max(sign * v for v in own.values())
+                        found = oracle._best_responses([a], kernel, n_second, tol, sign)
+                        missing = {b for b, v in own.items() if sign * v == top} - {
+                            b for _, b in found
+                        }
+                        assert not missing, (a, n_second, sign, missing)
+                    best = max(sign * v for own in exact.values() for v in own.values())
+                    optimal = {
+                        (a, b) for a, own in exact.items() for b, v in own.items() if sign * v == best
+                    }
+                    found = oracle._best_responses(reps, kernel, n_second, tol, sign)
+                    assert optimal <= set(found), (m, n_second, sign)
 
 
 class TestOrbitRepresentatives:
