@@ -72,7 +72,6 @@ from .model import (
 )
 from .bounds import (
     BoundsReport,
-    HcOptimizerConfig,
     Theorem1Bounds,
     TransformRecord,
     combined_report,
@@ -111,7 +110,6 @@ __all__ = [
     "FamilyResult",
     "FormatError",
     "FourierSpectrum",
-    "HcOptimizerConfig",
     "JointCellProbs",
     "LevelSums",
     "NumericalConsistencyError",

@@ -150,33 +150,15 @@ def maximal_correlation_bounds(a: float, b: float, rho: float) -> tuple[float, f
     return lb, ub
 
 
-@dataclass(frozen=True)
-class HcOptimizerConfig:
-    """Knobs for the three-parameter certificate optimizer.
-
-    grid_points: coarse log-grid resolution per axis.
-    refine_sweeps: pattern-search sweep budget per start; past it the search
-        stops with a still-valid but possibly loose bound and a warning.
-    exclusion: half-width of the excluded band around the removable
-        singularities at s = 1 and t = 1 (log coordinates).
-    rel_tol: pattern-search step size at which refinement stops.
-    """
-
-    grid_points: int = 33
-    refine_sweeps: int = 500
-    exclusion: float = 1e-4
-    rel_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.grid_points < 4:
-            raise ParameterRangeError(f"grid_points must be at least 4, got {self.grid_points}")
-        if self.refine_sweeps < 1:
-            raise ParameterRangeError(f"refine_sweeps must be positive, got {self.refine_sweeps}")
-        if not 0.0 < self.exclusion < 0.1:
-            raise ParameterRangeError(f"exclusion must be in (0, 0.1), got {self.exclusion}")
-        if not 0.0 < self.rel_tol < 0.1:
-            raise ParameterRangeError(f"rel_tol must be in (0, 0.1), got {self.rel_tol}")
-
+# Certificate optimizer settings: coarse log-grid points per axis; pattern-search
+# sweep budget per start, past which the search stops with a still-valid but
+# possibly loose bound and a warning; half-width of the excluded band around
+# the removable singularities at s = 1 and t = 1 (log coordinates); and the
+# pattern-search step at which a start has converged.
+_GRID_POINTS = 33
+_REFINE_SWEEPS = 500
+_EXCLUSION = 1e-4
+_REL_TOL = 1e-6
 
 _LOG_LIMIT = math.log(1e3)
 _KAPPA_MIN = 1e-3
@@ -240,26 +222,26 @@ def _scores(u, v, z, branch, sign, a, b, rho):
     return np.where(ok, score, np.inf)
 
 
-def _hc_search(a, b, rho, cfg):
+def _hc_search(a, b, rho):
     """Both certificate bounds: a grid scan, then one lockstep pattern search.
 
     The grid is scored once per kappa branch, each cell for the side it lies
     on; the best two cells of each side and branch start a pattern search.
     All starts move together, each with its own step, and one ``_scores``
     call per sweep evaluates every stencil move of every start.  A start stops
-    when its step falls to ``rel_tol`` (converged) or after ``refine_sweeps``
+    when its step falls to ``_REL_TOL`` (converged) or after ``_REFINE_SWEEPS``
     sweeps.  Every feasible point is a valid bound on its own, so an exhausted
     budget costs tightness, never validity.
 
     Returns, for the upper and then the lower side, (value, converged, kappa
     branch of the winning start, last improvement of the winning start).
     """
-    axis = np.linspace(-_LOG_LIMIT, _LOG_LIMIT, cfg.grid_points)
-    axis = axis[np.abs(axis) >= cfg.exclusion]
+    axis = np.linspace(-_LOG_LIMIT, _LOG_LIMIT, _GRID_POINTS)
+    axis = axis[np.abs(axis) >= _EXCLUSION]
     starts = []
     for branch in (1.0, -1.0):
         z_hi = math.log(_KAPPA_MAX - 1.0) if branch > 0 else math.log(1.0 - _KAPPA_MIN)
-        z = np.linspace(math.log(1e-4), z_hi, cfg.grid_points)
+        z = np.linspace(math.log(1e-4), z_hi, _GRID_POINTS)
         cells = np.meshgrid(axis, axis, z, indexing="ij")
         side = np.sign(cells[0] * cells[1] * branch)
         score = _scores(*cells, branch, side, a, b, rho)
@@ -281,15 +263,15 @@ def _hc_search(a, b, rho, cfg):
     gain = np.zeros(len(starts))
     step = np.full(len(starts), 0.7)
     rows = np.arange(len(starts))
-    # All starts begin together, so those still refining after refine_sweeps
+    # All starts begin together, so those still refining after _REFINE_SWEEPS
     # sweeps are exactly those that exhausted their budget.
-    for _ in range(cfg.refine_sweeps):
-        live = step > cfg.rel_tol
+    for _ in range(_REFINE_SWEEPS):
+        live = step > _REL_TOL
         if not live.any():
             break
         cand = pos[:, :, None] + _STENCIL * step[:, None]
         uv = cand[:2]  # pushed out of the excluded band, keeping its sign
-        np.copysign(np.maximum(np.abs(uv), cfg.exclusion), uv, out=uv)
+        np.copysign(np.maximum(np.abs(uv), _EXCLUSION), uv, out=uv)
         score = _scores(*cand, branch_m, sign_m, a, b, rho)
         pick = score.argmin(1)
         found = score[rows, pick]
@@ -304,14 +286,12 @@ def _hc_search(a, b, rho, cfg):
         mine = np.flatnonzero(sign == side)
         win = mine[np.argmin(best[mine])]
         tied = mine[best[mine] == best[win]]
-        converged = bool(np.any(step[tied] <= cfg.rel_tol))
+        converged = bool(np.any(step[tied] <= _REL_TOL))
         out.append((float(side * best[win]), converged, branch[win], gain[win]))
     return out
 
 
-def hc_bounds(
-    a: float, b: float, rho: float, config: HcOptimizerConfig | None = None
-) -> tuple[float, float]:
+def hc_bounds(a: float, b: float, rho: float) -> tuple[float, float]:
     """Certificate bounds (lower, upper) from the three-parameter family.
 
     The upper bound is the infimum of the certificate over its feasible
@@ -321,9 +301,11 @@ def hc_bounds(
     RuntimeWarning).  At rho = 0 both collapse to ab.  At rho = 1 the two
     inputs coincide, so the agreement probability is the overlap of two sets
     of measures a and b, and the exact range (max(0, a + b - 1), min(a, b)) is
-    returned without a search.
+    returned without a search.  The search has fixed settings: a 33-point
+    grid, at most 500 sweeps per start, step tolerance 1e-6 and an excluded
+    band of 1e-4.  The result always satisfies
+    max(0, a + b - 1) <= lower <= upper <= min(a, b).
     """
-    cfg = config if config is not None else HcOptimizerConfig()
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
         raise ParameterRangeError(f"densities must be in (0, 1), got ({a}, {b})")
     if not 0.0 <= rho <= 1.0:
@@ -332,7 +314,7 @@ def hc_bounds(
         return a * b, a * b
     if rho == 1.0:
         return max(0.0, a + b - 1.0), min(a, b)
-    (ub, *_), (lb, *_) = sides = _hc_search(a, b, rho, cfg)
+    (ub, *_), (lb, *_) = sides = _hc_search(a, b, rho)
     stalled = [
         f"the {name} bound's winning start (kappa {'above' if branch > 0 else 'below'} 1) "
         f"last improved by {gain:.3g}"
@@ -349,7 +331,7 @@ def hc_bounds(
         )
     # Intersect with the bounds that hold for every joint distribution with
     # these marginals; this also absorbs last-digit rounding in the optimizer.
-    lb = max(lb, 0.0, a + b - 1.0)
+    lb = min(max(lb, 0.0, a + b - 1.0), a, b)
     ub = min(ub, a, b)
     return lb, max(lb, ub)
 
@@ -390,9 +372,7 @@ class BoundsReport:
             )
 
 
-def combined_report(
-    a: float, b: float, rho: float, config: HcOptimizerConfig | None = None
-) -> BoundsReport:
+def combined_report(a: float, b: float, rho: float) -> BoundsReport:
     """Normalize, run every family, intersect, and map back.
 
     The de-normalization uses only the affine record from normalization; no
@@ -411,7 +391,7 @@ def combined_report(
         mc = maximal_correlation_bounds(na, nb, nrho)
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
-            hc = hc_bounds(na, nb, nrho, config)
+            hc = hc_bounds(na, nb, nrho)
         notes.extend(str(w.message) for w in caught)
 
     cap = min(na, nb)

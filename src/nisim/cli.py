@@ -20,13 +20,7 @@ import sys
 
 import numpy as np
 
-from .bounds import (
-    HcOptimizerConfig,
-    combined_report,
-    hc_bounds,
-    maximal_correlation_bounds,
-    symmetric_bounds,
-)
+from .bounds import combined_report, hc_bounds, maximal_correlation_bounds, symmetric_bounds
 from .errors import (
     ConvergenceError,
     FormatError,
@@ -64,37 +58,6 @@ def default_a_grid() -> tuple[float, ...]:
     return tuple(sorted(points))
 
 
-def _load_config(path: str | None) -> HcOptimizerConfig:
-    if path is None:
-        return HcOptimizerConfig()
-    values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise FormatError(f"{path}:{lineno}: expected key=value, got {text!r}")
-            key, _, value = text.partition("=")
-            values[key.strip()] = value.strip()
-    kwargs = {}
-    casts = {
-        "hc.grid_points": ("grid_points", int),
-        "hc.refine_sweeps": ("refine_sweeps", int),
-        "hc.exclusion": ("exclusion", float),
-        "hc.rel_tol": ("rel_tol", float),
-    }
-    for key, raw in values.items():
-        if key not in casts:
-            raise FormatError(f"{path}: unknown configuration key {key!r}")
-        name, cast = casts[key]
-        try:
-            kwargs[name] = cast(raw)
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad value for {key}: {raw!r}") from exc
-    return HcOptimizerConfig(**kwargs)
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -104,8 +67,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_bounds(args) -> int:
-    config = _load_config(args.config)
-    report = combined_report(args.a, args.b, args.rho, config)
+    report = combined_report(args.a, args.b, args.rho)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "a": report.original_a,
@@ -155,7 +117,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    config = _load_config(args.config)
     rho = args.rho
     if not 0.0 < rho < 1.0:
         raise FormatError(f"curve correlation must be strictly inside (0, 1), got {rho}")
@@ -169,9 +130,7 @@ def cmd_curve(args) -> int:
     writer.writerow(CURVE_COLUMNS)
     for a in grid:
         mc_lb, mc_ub = maximal_correlation_bounds(a, a, rho)
-        hc_lb, hc_ub = hc_bounds(a, a, rho, config)
-        hc_lb = min(a, max(0.0, hc_lb))
-        hc_ub = min(a, max(0.0, hc_ub))
+        hc_lb, hc_ub = hc_bounds(a, a, rho)
         ours_lb, ours_ub = symmetric_bounds(a, rho)
         if a in _DYADIC_GRID:
             i = _DYADIC_GRID.index(a) + 1
@@ -263,14 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True, help="density of the second set")
     p.add_argument("--rho", type=float, required=True, help="correlation in [-1, 1]")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--config", help="key=value optimizer configuration file")
     p.add_argument("--output", help="write here instead of stdout")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("curve", help="CSV sweep over symmetric densities")
     p.add_argument("--rho", type=float, required=True, help="correlation in (0, 1)")
     p.add_argument("--grid", help="comma-separated densities (default: built-in grid)")
-    p.add_argument("--config", help="key=value optimizer configuration file")
     p.add_argument("--output", help="write here instead of stdout")
     p.set_defaults(func=cmd_curve)
 

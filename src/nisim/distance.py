@@ -99,8 +99,15 @@ def _transform_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
     conv = xor_convolve(ind_a, ind_b)
     weights = np.bitwise_count(np.arange(size, dtype=np.int64))
     raw = np.bincount(weights, weights=conv, minlength=a.n + 1)
-    counts = np.rint(raw).astype(np.int64)
-    return counts
+    counts = np.rint(raw)
+    # Bins off by more than a quarter in opposite directions could still round
+    # to counts with the right total, so the margin is checked per bin.
+    margin = float(np.max(np.abs(raw - counts)))
+    if margin > 0.25:
+        raise NumericalConsistencyError(
+            f"transform distance counts are {margin:.3g} from the nearest integers"
+        )
+    return counts.astype(np.int64)
 
 
 def distance_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DistanceDistribution:

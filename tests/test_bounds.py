@@ -7,8 +7,8 @@ from statistics import NormalDist
 
 import pytest
 
+import nisim.bounds
 from nisim import (
-    HcOptimizerConfig,
     collision_prob,
     combined_report,
     complement,
@@ -242,17 +242,12 @@ class TestHcBounds:
             lb, ub = hc_bounds(a, b, rho)
             assert 0.0 <= lb <= ub <= min(a, b) + 1e-9
 
-    def test_config_guards(self):
-        with pytest.raises(ParameterRangeError):
-            HcOptimizerConfig(grid_points=1)
-        with pytest.raises(ParameterRangeError):
-            HcOptimizerConfig(rel_tol=0.0)
-
-    def test_coarse_config_still_valid(self):
-        cfg = HcOptimizerConfig(grid_points=9, refine_sweeps=40)
+    def test_coarse_config_still_valid(self, monkeypatch):
+        monkeypatch.setattr(nisim.bounds, "_GRID_POINTS", 9)
+        monkeypatch.setattr(nisim.bounds, "_REFINE_SWEEPS", 40)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            lb, ub = hc_bounds(0.25, 0.25, 0.5, config=cfg)
+            lb, ub = hc_bounds(0.25, 0.25, 0.5)
         assert lb <= 0.140625 + 1e-9 <= ub + 2e-1
         assert ub >= 0.140625 - 1e-9
 
@@ -360,10 +355,10 @@ class TestPinnedHcBounds:
             assert abs(ub - old_ub) <= 1e-9 or high - 1e-12 <= ub < old_ub, (a, b, rho, ub)
         assert warned == PINNED_BUDGET_WARNINGS
 
-    def test_budget_warning_names_instance_side_and_branch(self):
-        cfg = HcOptimizerConfig(refine_sweeps=5)
+    def test_budget_warning_names_instance_side_and_branch(self, monkeypatch):
+        monkeypatch.setattr(nisim.bounds, "_REFINE_SWEEPS", 5)
         with pytest.warns(RuntimeWarning) as caught:
-            hc_bounds(0.25, 0.3, 0.5, config=cfg)
+            hc_bounds(0.25, 0.3, 0.5)
         assert len(caught) == 1
         text = str(caught[0].message)
         assert "sweep budget at densities (0.25, 0.3), rho 0.5" in text
@@ -385,8 +380,19 @@ class TestCombinedReport:
                     assert rep.combined_ub <= hi_sandwich + 1e-12
 
     def test_full_density_pins_the_answer(self):
-        rep = combined_report(1.0, 0.5, 0.3)
-        assert rep.combined_lb == rep.combined_ub == 0.5
+        """A set of density 0 or 1 forces the agreement probability to 0 or
+        to the other density, in either order and at every correlation."""
+        for edge in (0.0, 1.0):
+            for b in (0.3, 0.5):
+                for rho in (-1.0, 0.0, 0.3, 1.0):
+                    forced = edge * b
+                    for pair in ((edge, b), (b, edge)):
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            rep = combined_report(*pair, rho)
+                        assert rep.combined_lb == rep.combined_ub == forced, (pair, rho)
+                        assert any("degenerate marginal" in w for w in rep.warnings)
+                        assert not any("sweep budget" in w for w in rep.warnings)
 
     def test_independent_case_pins_the_answer(self):
         rep = combined_report(0.3, 0.8, 0.0)

@@ -1,12 +1,17 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from nisim.cli import main
+from nisim.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -205,52 +210,6 @@ class TestVerifyCommand:
         assert rc == 2
 
 
-class TestConfigFile:
-    def test_valid_config_applies(self, tmp_path, capsys):
-        cfg = tmp_path / "opt.cfg"
-        cfg.write_text("hc.grid_points = 17\nhc.refine_sweeps = 200\n")
-        rc, out = run_cli(
-            capsys,
-            "bounds",
-            "--a", "0.25", "--b", "0.25", "--rho", "0.5",
-            "--config", str(cfg),
-        )
-        assert rc == 0
-        doc = json.loads(out)
-        assert doc["combined_ub"] == 0.140625
-
-    def test_unknown_key_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "opt.cfg"
-        cfg.write_text("hc.zeta = 3\n")
-        rc, _ = run_cli(
-            capsys,
-            "bounds",
-            "--a", "0.25", "--b", "0.25", "--rho", "0.5",
-            "--config", str(cfg),
-        )
-        assert rc == 2
-
-    def test_malformed_line_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "opt.cfg"
-        cfg.write_text("grid_points\n")
-        rc, _ = run_cli(
-            capsys,
-            "bounds",
-            "--a", "0.25", "--b", "0.25", "--rho", "0.5",
-            "--config", str(cfg),
-        )
-        assert rc == 2
-
-    def test_missing_config_file_exits_2(self, capsys):
-        rc, _ = run_cli(
-            capsys,
-            "bounds",
-            "--a", "0.25", "--b", "0.25", "--rho", "0.5",
-            "--config", "/nonexistent/opt.cfg",
-        )
-        assert rc == 2
-
-
 class TestTopLevel:
     def test_help_exits_0(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
@@ -260,6 +219,24 @@ class TestTopLevel:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--a", "0.25", "--b", "0.25", "--rho", "0.5"],
+        ["curve", "--rho", "0.5"],
+    ], ids=["bounds", "curve"])
+    def test_optimizer_takes_no_config_flag(self, argv):
+        parser = build_parser()
+        assert parser.parse_args(argv).command == argv[0]
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--config", "opt.cfg"])
+
+    def test_readme_commands_parse(self):
+        blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+        lines = [ln for block in blocks for ln in block.splitlines() if ln.startswith("nisim ")]
+        assert len(lines) >= 5
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import nisim.distance
 from nisim import (
     chang_bound,
     complement,
@@ -25,7 +26,11 @@ from nisim import (
     subcube,
 )
 from nisim.distance import _pairwise_counts, _psi_objective, _transform_counts
-from nisim.errors import DimensionMismatchError, ParameterRangeError
+from nisim.errors import (
+    DimensionMismatchError,
+    NumericalConsistencyError,
+    ParameterRangeError,
+)
 
 from conftest import (
     brute_distance_distribution,
@@ -75,6 +80,23 @@ class TestDistanceDistribution:
             got = distance_distribution(code_a, code_b)
             assert used == [path]
             assert got.p == tuple(brute_distance_distribution(code_a, code_b))
+
+    def test_transform_rounding_margin_is_checked(self, rng, monkeypatch):
+        """Bins off by +0.6 and -0.6 round to wrong counts with the right
+        total, so only the per-bin rounding margin can catch them."""
+        convolve = nisim.distance.xor_convolve
+
+        def skewed(f, g):
+            conv = convolve(f, g)
+            conv[0b11111] += 0.6  # weight 5
+            conv[0b111111] -= 0.6  # weight 6
+            return conv
+
+        monkeypatch.setattr(nisim.distance, "xor_convolve", skewed)
+        a = random_code(rng, 12, size=512)
+        b = random_code(rng, 12, size=512)
+        with pytest.raises(NumericalConsistencyError, match="nearest integers"):
+            distance_distribution(a, b)
 
     def test_moments(self):
         code = subcube(3, 1)
