@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, DecimalException, localcontext
 from typing import NamedTuple
 
 import numpy as np
 
+from .distance import _golden_min
 from .errors import ConvergenceError, NumericalConsistencyError, ParameterRangeError
 
 
@@ -159,6 +161,16 @@ _GRID_POINTS = 33
 _REFINE_SWEEPS = 500
 _EXCLUSION = 1e-4
 _REL_TOL = 1e-6
+# Equal densities: scan points and half-width of the u range on the ridge, and
+# the golden-section tolerance in u.  The range reaches past _LOG_LIMIT because
+# the lower side's optima lie at u of about 8 to 12.  Densities this close
+# count as equal, which covers a decimal density and its complement.
+_RIDGE_POINTS = 4001
+_RIDGE_LIMIT = 40.0
+_RIDGE_TOL = 1e-9
+_SAME_DENSITY = 2.0**-53
+# Decimal digits of the exact re-evaluation of each winning point.
+_EXACT_DIGITS = 50
 
 _LOG_LIMIT = math.log(1e3)
 _KAPPA_MIN = 1e-3
@@ -223,18 +235,21 @@ def _scores(u, v, z, branch, sign, a, b, rho):
 
 
 def _hc_search(a, b, rho):
-    """Both certificate bounds: a grid scan, then one lockstep pattern search.
+    """Both certificate points: a grid scan, then one lockstep pattern search.
 
-    The grid is scored once per kappa branch, each cell for the side it lies
-    on; the best two cells of each side and branch start a pattern search.
+    The grid is scored once per kappa branch, over the layers whose kappa lies
+    in [_KAPPA_MIN, _KAPPA_MAX], each cell for the side it lies on; the best
+    two cells of each side and branch start a pattern search.
     All starts move together, each with its own step, and one ``_scores``
     call per sweep evaluates every stencil move of every start.  A start stops
     when its step falls to ``_REL_TOL`` (converged) or after ``_REFINE_SWEEPS``
     sweeps.  Every feasible point is a valid bound on its own, so an exhausted
     budget costs tightness, never validity.
 
-    Returns, for the upper and then the lower side, (value, converged, kappa
-    branch of the winning start, last improvement of the winning start).
+    Returns, for the upper and then the lower side, (winning point (u, v,
+    kappa), converged, kappa branch of the winning start, last improvement of
+    the winning start).  ``hc_bounds`` uses it for unequal densities; at equal
+    densities the tests use it as the reference for ``_ridge_search``.
     """
     axis = np.linspace(-_LOG_LIMIT, _LOG_LIMIT, _GRID_POINTS)
     axis = axis[np.abs(axis) >= _EXCLUSION]
@@ -242,6 +257,8 @@ def _hc_search(a, b, rho):
     for branch in (1.0, -1.0):
         z_hi = math.log(_KAPPA_MAX - 1.0) if branch > 0 else math.log(1.0 - _KAPPA_MIN)
         z = np.linspace(math.log(1e-4), z_hi, _GRID_POINTS)
+        kappa = 1.0 + branch * np.exp(z)
+        z = z[(kappa >= _KAPPA_MIN) & (kappa <= _KAPPA_MAX)]
         cells = np.meshgrid(axis, axis, z, indexing="ij")
         side = np.sign(cells[0] * cells[1] * branch)
         score = _scores(*cells, branch, side, a, b, rho)
@@ -287,7 +304,77 @@ def _hc_search(a, b, rho):
         win = mine[np.argmin(best[mine])]
         tied = mine[best[mine] == best[win]]
         converged = bool(np.any(step[tied] <= _REL_TOL))
-        out.append((float(side * best[win]), converged, branch[win], gain[win]))
+        u, v, z = pos[:, win]
+        out.append(((u, v, 1.0 + branch[win] * np.exp(z)), converged, branch[win], gain[win]))
+    return out
+
+
+def _ridge_search(a, b, rho):
+    """Both certificate points for equal densities, on the ridge u = v with
+    kappa = kappa' = 1 + rho (upper side) or 1 - rho (lower side).
+
+    Every optimum the three-dimensional search finds at a = b lies on this
+    ridge, so each side is one scan of u over [-_RIDGE_LIMIT, _RIDGE_LIMIT]
+    outside the excluded band, then a golden-section refinement between the
+    neighbours of the best scan point.  There is no budget to run out of.
+    Returns the upper and then the lower point (u, v, kappa).
+    """
+    axis = np.linspace(-_RIDGE_LIMIT, _RIDGE_LIMIT, _RIDGE_POINTS)
+    axis = axis[np.abs(axis) >= _EXCLUSION]
+    sign = np.array([[1.0], [-1.0]])
+    u = np.broadcast_to(axis, (2, axis.size))
+    k = np.broadcast_to(1.0 + sign * rho, u.shape)
+    score = sign * _certificate(u, u, k, a, b, rho)
+    score = np.where(np.isfinite(score), score, np.inf)
+    points = []
+    for side, kappa, row in zip(sign[:, 0], k[:, 0], score):
+        i = int(np.argmin(row))
+        lo, hi = axis[max(i - 1, 0)], axis[min(i + 1, axis.size - 1)]
+        # the bracket stays on the best point's side of the excluded band
+        lo, hi = (max(lo, _EXCLUSION), hi) if axis[i] > 0 else (lo, min(hi, -_EXCLUSION))
+        f = lambda x, side=side, kappa=kappa: side * _certificate(x, x, kappa, a, b, rho)
+        _, best = min((row[i], axis[i]), _golden_min(f, lo, hi, _RIDGE_TOL))
+        points.append((best, best, kappa))
+    return points
+
+
+def _certify(u, v, k, a, b, rho, sign):
+    """The certificate at one point in exact inputs and _EXACT_DIGITS-digit
+    decimal arithmetic, rounded outward to a float: up for the upper side
+    (sign 1), down for the lower side (sign -1).
+
+    The functional is taken in its textbook form, (F_s F_t - 1)/((s - 1)(t - 1))
+    - a/(t - 1) - b/(s - 1), with kappa' = 1 + rho^2/(kappa - 1) computed in
+    decimal.  Raises NumericalConsistencyError if the point does not lie on
+    that side, kappa' is 0 or the value is not finite.
+    """
+    u, v, k, a, b, rho = map(float, (u, v, k, a, b, rho))
+    point = f"certificate point (u {u!r}, v {v!r}, kappa {k!r})"
+    # u and v lie outside the excluded band, so the float product has its true sign
+    if not sign * u * v * (k - 1.0) > 0.0:
+        raise NumericalConsistencyError(f"{point} is not on the {'upper' if sign > 0 else 'lower'} side")
+    with localcontext(Context(prec=_EXACT_DIGITS)):
+        u, v, k, a, b, rho = map(Decimal, (u, v, k, a, b, rho))
+        try:
+            kp = 1 + rho * rho / (k - 1)
+            e_s, e_t = u.exp() - 1, v.exp() - 1
+            f_s = ((a * (kp * u).exp() + 1 - a).ln() / kp).exp()
+            f_t = ((b * (k * v).exp() + 1 - b).ln() / k).exp()
+            terms = (f_s * f_t / (e_s * e_t), 1 / (e_s * e_t), a / e_t, b / e_s)
+            # Every operation is correct to 10^-_EXACT_DIGITS relative.  The four terms
+            # cancel, and exp and ln amplify relative errors by up to |u|, |v|,
+            # 1/|kappa| and 1/|kappa'|; pad by ten digits more than that.
+            gain = 1 + abs(u) + abs(v) + 1 / abs(k) + 1 / abs(kp)
+            pad = sum(map(abs, terms)) * gain * Decimal(10) ** (10 - _EXACT_DIGITS)
+        except DecimalException as exc:
+            raise NumericalConsistencyError(f"{point} has no finite value: {exc!r}") from exc
+        value = terms[0] - terms[1] - terms[2] - terms[3]
+        target = value + pad if sign > 0 else value - pad
+    out = float(target)
+    if Decimal(out) < target if sign > 0 else Decimal(out) > target:
+        out = math.nextafter(out, sign * math.inf)
+    if not math.isfinite(out):
+        raise NumericalConsistencyError(f"certificate bound {target} is not a finite float")
     return out
 
 
@@ -296,14 +383,24 @@ def hc_bounds(a: float, b: float, rho: float) -> tuple[float, float]:
 
     The upper bound is the infimum of the certificate over its feasible
     region, the lower bound the supremum over the complementary region; any
-    feasible certificate point already gives a valid one-sided bound, so an
-    exhausted refinement budget degrades tightness only (reported through a
-    RuntimeWarning).  At rho = 0 both collapse to ab.  At rho = 1 the two
-    inputs coincide, so the agreement probability is the overlap of two sets
-    of measures a and b, and the exact range (max(0, a + b - 1), min(a, b)) is
-    returned without a search.  The search has fixed settings: a 33-point
-    grid, at most 500 sweeps per start, step tolerance 1e-6 and an excluded
-    band of 1e-4.  The result always satisfies
+    feasible certificate point already gives a valid one-sided bound.
+
+    - Equal densities (to within 2^-53, so that 0.3 and 1 - 0.7 count as
+      equal) take ``_ridge_search``: a scan of u = v over [-40, 40] at
+      kappa = 1 +- rho and a golden-section refinement.  It has no budget and
+      never warns.
+    - Unequal densities take ``_hc_search``, with fixed settings: a 33-point
+      grid, at most 500 sweeps per start, step tolerance 1e-6 and an excluded
+      band of 1e-4.  An exhausted budget costs tightness only and is reported
+      through a RuntimeWarning.
+
+    Either way the winning point of each side is re-evaluated once in
+    50-digit decimal arithmetic and rounded outward, so each side is a
+    certified bound, not one that holds only to float precision.  At rho = 0
+    both collapse to ab.  At rho = 1 the two inputs coincide, so the
+    agreement probability is the overlap of two sets of measures a and b,
+    and the exact range (max(0, a + b - 1), min(a, b)) is returned without a
+    search.  The result always satisfies
     max(0, a + b - 1) <= lower <= upper <= min(a, b).
     """
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
@@ -314,23 +411,29 @@ def hc_bounds(a: float, b: float, rho: float) -> tuple[float, float]:
         return a * b, a * b
     if rho == 1.0:
         return max(0.0, a + b - 1.0), min(a, b)
-    (ub, *_), (lb, *_) = sides = _hc_search(a, b, rho)
-    stalled = [
-        f"the {name} bound's winning start (kappa {'above' if branch > 0 else 'below'} 1) "
-        f"last improved by {gain:.3g}"
-        for name, (_, converged, branch, gain) in zip(("upper", "lower"), sides)
-        if not converged
-    ]
-    if stalled:
-        _warnings.warn(
-            f"certificate refinement hit its sweep budget at densities ({a}, {b}), "
-            f"rho {rho}: {'; '.join(stalled)}; the bounds are valid but may not be "
-            "fully tightened",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    if abs(a - b) <= _SAME_DENSITY:
+        upper, lower = _ridge_search(a, b, rho)
+    else:
+        sides = _hc_search(a, b, rho)
+        (upper, *_), (lower, *_) = sides
+        stalled = [
+            f"the {name} bound's winning start (kappa {'above' if branch > 0 else 'below'} 1) "
+            f"last improved by {gain:.3g}"
+            for name, (_, converged, branch, gain) in zip(("upper", "lower"), sides)
+            if not converged
+        ]
+        if stalled:
+            _warnings.warn(
+                f"certificate refinement hit its sweep budget at densities ({a}, {b}), "
+                f"rho {rho}: {'; '.join(stalled)}; the bounds are valid but may not be "
+                "fully tightened",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    ub = _certify(*upper, a, b, rho, 1.0)
+    lb = _certify(*lower, a, b, rho, -1.0)
     # Intersect with the bounds that hold for every joint distribution with
-    # these marginals; this also absorbs last-digit rounding in the optimizer.
+    # these marginals.
     lb = min(max(lb, 0.0, a + b - 1.0), a, b)
     ub = min(ub, a, b)
     return lb, max(lb, ub)

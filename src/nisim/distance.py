@@ -285,22 +285,24 @@ def _psi_objective(a: float, u: float) -> float:
     return (1.0 + a * eps) * g / (a * eps) ** 2
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
+def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section search of f on [lo, hi]: the least value seen and where."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = f(c), f(d)
-    best = min(fc, fd, f(lo), f(hi))
+    best = min((fc, c), (fd, d), (f(lo), lo), (f(hi), hi))
     while hi - lo > tol:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
             fc = f(c)
+            best = min(best, (fc, c))
         else:
             lo, c, fc = c, d, fd
             d = lo + invphi * (hi - lo)
             fd = f(d)
-        best = min(best, fc, fd)
+            best = min(best, (fd, d))
     return best
 
 
@@ -315,7 +317,7 @@ def psi(a: float) -> float:
     i = int(np.argmin(vals))
     lo = grid[max(0, i - 1)]
     hi = grid[min(len(grid) - 1, i + 1)]
-    return min(min(vals), _golden_min(f, lo, hi, 1e-10))
+    return min(min(vals), _golden_min(f, lo, hi, 1e-10)[0])
 
 
 def psi_bound(n: int, a: float) -> float:

@@ -3,8 +3,10 @@
 import math
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 
 import nisim.bounds
@@ -23,8 +25,9 @@ from nisim import (
     theta_minus,
     theta_plus,
 )
-from nisim.bounds import _certificate
-from nisim.errors import ParameterRangeError
+from nisim.bounds import _certificate, _certify, _hc_search
+from nisim.cli import default_a_grid
+from nisim.errors import NumericalConsistencyError, ParameterRangeError
 
 from conftest import random_code
 
@@ -248,8 +251,11 @@ class TestHcBounds:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             lb, ub = hc_bounds(0.25, 0.25, 0.5)
+            # unequal densities take the three-dimensional search the settings shrink
+            skew_lb, skew_ub = hc_bounds(0.125, 0.25, 0.5)
         assert lb <= 0.140625 + 1e-9 <= ub + 2e-1
         assert ub >= 0.140625 - 1e-9
+        assert skew_lb <= 0.0078125 and skew_ub >= 0.0703125
 
     def test_parameter_guards(self):
         with pytest.raises(ParameterRangeError):
@@ -269,7 +275,7 @@ def naive_certificate_60_digits(u, v, k, a, b, rho):
         kp = 1 + rho * rho / (k - 1)
         f_s = ((a * (kp * u).exp() + 1 - a).ln() / kp).exp()
         f_t = ((b * (k * v).exp() + 1 - b).ln() / k).exp()
-        return float((f_s * f_t - 1) / ((s - 1) * (t - 1)) - a / (t - 1) - b / (s - 1))
+        return (f_s * f_t - 1) / ((s - 1) * (t - 1)) - a / (t - 1) - b / (s - 1)
 
 
 def achievable_pair_values(a, b, rho):
@@ -308,9 +314,32 @@ class TestCertificateFunctional:
     )
     def test_matches_sixty_digit_naive_formula(self, u, v, k):
         a, b, rho = 0.25, 0.3, 0.5
-        want = naive_certificate_60_digits(u, v, k, a, b, rho)
+        want = float(naive_certificate_60_digits(u, v, k, a, b, rho))
         got = float(_certificate(u, v, k, a, b, rho))
         assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_certified_value_is_rounded_outward(self, rng):
+        """Up on the upper side and down on the lower side of the 60-digit
+        value, by at most a few units in the last place."""
+        a, b, rho = 0.25, 0.3, 0.5
+        hard = [(2e-4, -2.1e-4, 3.0), (2.1e-4, 1.9e-4, 0.4), (2.0, 0.5, 1.0005), (0.7, -0.4, 0.75 + 1e-10)]
+        drawn = [
+            (float(u), float(v), float(k))
+            for u, v, k in zip(rng.uniform(-5, 5, 40), rng.uniform(-5, 5, 40), rng.uniform(0.01, 4, 40))
+        ]
+        for u, v, k in hard + drawn:
+            side = 1.0 if u * v * (k - 1.0) > 0 else -1.0
+            want = naive_certificate_60_digits(u, v, k, a, b, rho)
+            got = _certify(u, v, k, a, b, rho, side)
+            assert (Decimal(got) >= want) if side > 0 else (Decimal(got) <= want), (u, v, k)
+            assert abs(got - float(want)) <= 1e-15 * abs(float(want)), (u, v, k)
+            with pytest.raises(NumericalConsistencyError, match="is not on the"):
+                _certify(u, v, k, a, b, rho, -side)
+
+    def test_certify_refuses_a_point_without_a_value(self):
+        # kappa = 1 - rho^2 makes kappa' exactly 0
+        with pytest.raises(NumericalConsistencyError, match="no finite value"):
+            _certify(0.7, -0.4, 0.75, 0.25, 0.3, 0.5, 1.0)
 
 
 # hc_bounds(a, b, rho) as the scalar pattern search computed it before the
@@ -337,9 +366,9 @@ PINNED_HC_BOUNDS = (
     (0.125, 0.25, 0.5, 0.001470536046920197, 0.09023141246561396),
     (0.0625, 0.5, 0.3, 0.011106214150045556, 0.051393785849954444),
 )
-# Calls in the panel above whose sweep budget ran out: (1/8, 1/8, 0.9),
-# (1/4, 1/4, 0.9) and (1/8, 1/4, 0.5).
-PINNED_BUDGET_WARNINGS = 3
+# Calls in the panel above whose sweep budget ran out: only (1/8, 1/4, 0.5).
+# Equal densities take the ridge search, which has no sweep budget.
+PINNED_BUDGET_WARNINGS = 1
 
 
 class TestPinnedHcBounds:
@@ -365,6 +394,73 @@ class TestPinnedHcBounds:
         assert "the upper bound's winning start (kappa" in text
         assert "the lower bound's winning start (kappa" in text
         assert "last improved by" in text
+
+
+class TestRidgeSearch:
+    def test_never_looser_than_the_three_dimensional_search(self):
+        """Equal densities on a sample of the panel of 40 densities in
+        [0.005, 0.5] and rho in {0.05, ..., 0.95, 0.99}."""
+        for a in np.geomspace(0.005, 0.5, 40)[::4].tolist():
+            for rho in (0.05, 0.3, 0.6, 0.9, 0.99):
+                lb, ub = hc_bounds(a, a, rho)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    (upper, *_), (lower, *_) = _hc_search(a, a, rho)
+                search_ub = min(_certify(*upper, a, a, rho, 1.0), a)
+                search_lb = min(max(_certify(*lower, a, a, rho, -1.0), 0.0), a)
+                assert ub <= search_ub + 1e-9, (a, rho, ub, search_ub)
+                assert lb >= search_lb - 1e-9, (a, rho, lb, search_lb)
+
+    def test_default_grid_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rho in (0.1, 0.5, 0.9):
+                for a in default_a_grid():
+                    lb, ub = hc_bounds(a, a, rho)
+                    assert 0.0 <= lb <= ub <= a
+
+    def test_subcube_values_are_bracketed_exactly(self):
+        """At a = b = 2^-i the nested and the opposite subcubes attain
+        ((1 +- rho)/4)^i; the bounds hold them in exact arithmetic."""
+        for i in range(1, 6):
+            for rho in (0.1, 0.5, 0.9):
+                lb, ub = hc_bounds(0.5**i, 0.5**i, rho)
+                assert Fraction(ub) >= ((1 + Fraction(rho)) / 4) ** i, (i, rho, ub)
+                assert Fraction(lb) <= ((1 - Fraction(rho)) / 4) ** i, (i, rho, lb)
+
+    def test_complementary_densities_take_the_ridge(self, monkeypatch):
+        """(0.3, 0.7) normalizes to densities 0.3 and 1 - 0.7, which differ in
+        the last bit; they still count as equal."""
+
+        def no_search(*args):
+            raise AssertionError("the three-dimensional search ran")
+
+        monkeypatch.setattr(nisim.bounds, "_hc_search", no_search)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = combined_report(0.3, 0.7, 0.4)
+        assert rep.transform.steps == ("complement-second",)
+        assert rep.a == 0.3 and rep.b == 1.0 - 0.7
+        assert 0.0 <= rep.hc_lb <= rep.hc_ub <= rep.a
+        assert rep.warnings == ()
+
+    def test_grid_layers_stay_in_kappa_range(self, monkeypatch):
+        scored = []
+        scores = nisim.bounds._scores
+
+        def spy(u, v, z, branch, sign, a, b, rho):
+            if np.ndim(z) == 3:  # a grid call, not a sweep
+                scored.append(1.0 + branch * np.exp(z[0, 0]))
+            return scores(u, v, z, branch, sign, a, b, rho)
+
+        monkeypatch.setattr(nisim.bounds, "_scores", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            hc_bounds(0.2, 0.3, 0.5)
+        assert len(scored) == 2
+        for kappa in scored:
+            assert np.all((kappa >= nisim.bounds._KAPPA_MIN) & (kappa <= nisim.bounds._KAPPA_MAX))
+        assert len(scored[0]) == nisim.bounds._GRID_POINTS - 1  # kappa > 1 loses its top layer
 
 
 class TestCombinedReport:
