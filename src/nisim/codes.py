@@ -15,8 +15,10 @@ lexicographic maximum of (key of a, key of b) under one group element.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +47,21 @@ class BinaryCode:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1 or self.n > MAX_DIM:
             raise DimensionRangeError(f"dimension must be in 1..{MAX_DIM}, got {self.n}")
-        if len(self.words) == 0:
+        words = self.words
+        if len(words) == 0:
             raise EmptyCodeError("a code needs at least one word")
+        # Three C-level passes accept a valid code; the loop below names the
+        # first fault of any other.
+        if (
+            set(map(type, words)) == {int}
+            and all(map(operator.lt, words, itertools.islice(words, 1, None)))
+            and words[0] >= 0
+            and words[-1] < 1 << self.n
+        ):
+            return
         limit = 1 << self.n
         prev = -1
-        for w in self.words:
+        for w in words:
             if not isinstance(w, int) or w < 0 or w >= limit:
                 raise WordRangeError(f"word {w} out of range for dimension {self.n}")
             if w <= prev:
@@ -66,10 +78,10 @@ class BinaryCode:
         return len(self.words) / (1 << self.n)
 
     def word_array(self) -> np.ndarray:
-        return np.array(self.words, dtype=np.int64)
+        return np.fromiter(self.words, dtype=np.int64, count=len(self.words))
 
     def __contains__(self, word: int) -> bool:
-        i = np.searchsorted(self.word_array(), word)
+        i = bisect.bisect_left(self.words, word)
         return i < len(self.words) and self.words[i] == word
 
 
@@ -77,7 +89,7 @@ def make_code(n: int, words) -> BinaryCode:
     """Build a code from an iterable of words, deduplicating and sorting."""
     if not isinstance(n, int) or n < 1 or n > MAX_DIM:
         raise DimensionRangeError(f"dimension must be in 1..{MAX_DIM}, got {n}")
-    ws = sorted(set(int(w) for w in words))
+    ws = sorted(set(map(int, words)))
     if not ws:
         raise EmptyCodeError("a code needs at least one word")
     return BinaryCode(n, tuple(ws))
@@ -105,8 +117,7 @@ def subcube(n: int, k: int) -> BinaryCode:
         raise DimensionRangeError(f"dimension must be in 1..{MAX_DIM}, got {n}")
     if not isinstance(k, int) or k < 0 or k > n:
         raise ParameterRangeError(f"pinned-coordinate count must be in 0..{n}, got {k}")
-    low = (1 << k) - 1
-    return BinaryCode(n, tuple(low | (m << k) for m in range(1 << (n - k))))
+    return BinaryCode(n, tuple(range((1 << k) - 1, 1 << n, 1 << k)))
 
 
 def hamming_ball(n: int, center: int, radius: int) -> BinaryCode:

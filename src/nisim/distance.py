@@ -80,9 +80,10 @@ class AvgDistanceBounds:
 
 def _pairwise_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
     counts = np.zeros(a.n + 1, dtype=np.int64)
-    bw = b.word_array()
+    # Unsigned, so that words of 64-bit codes at or above 2^63 fit.
+    bw = np.fromiter(b.words, dtype=np.uint64, count=b.size)
     chunk = max(1, (1 << 22) // max(1, b.size))
-    aw = a.word_array()
+    aw = np.fromiter(a.words, dtype=np.uint64, count=a.size)
     for start in range(0, a.size, chunk):
         block = aw[start : start + chunk, None] ^ bw[None, :]
         dists = np.bitwise_count(block)

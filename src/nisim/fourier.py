@@ -9,6 +9,7 @@ directly (see :func:`theta_from_levels`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,23 +18,62 @@ from .codes import MAX_TRANSFORM_DIM, BinaryCode
 from .errors import DimensionMismatchError, DimensionRangeError, ParameterRangeError
 
 
+# Each pass of fwht transforms up to 5 index bits with one product against a
+# Hadamard matrix of order up to 32 (Fino and Algazi's factorization).
+# Products are cut to 128 columns: larger ones cross OpenBLAS's threading
+# threshold, and with BLAS threads unpinned the small transforms then stalled.
+_BLOCK_BITS = 5
+_MAX_COLUMNS = 128
+
+
+@functools.cache
+def _hadamard(k: int) -> np.ndarray:
+    """The 2^k x 2^k matrix with entry (i, j) = (-1)^popcount(i & j); read-only."""
+    idx = np.arange(1 << k)
+    h = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1)
+    h.flags.writeable = False
+    return h
+
+
 def fwht(values: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform with the (-1)^(popcount(mask & word)) kernel.
 
     Returns a new float array; applying it twice multiplies by len(values).
+    Every product is +-1 times an input, so on integer-valued input (below
+    2^53 in magnitude) the result is exact whatever the summation order.
     """
-    arr = np.array(values, dtype=np.float64, copy=True)
-    size = arr.shape[0]
+    src = np.asarray(values, dtype=np.float64)
+    if src.ndim != 1:
+        raise ParameterRangeError(f"transform input must be 1-D, got shape {src.shape}")
+    size = src.shape[0]
     if size == 0 or size & (size - 1):
         raise ParameterRangeError(f"transform length must be a power of two, got {size}")
-    h = 1
-    while h < size:
-        view = arr.reshape(-1, 2 * h)
-        left = view[:, :h].copy()
-        view[:, :h] = left + view[:, h:]
-        view[:, h:] = left - view[:, h:]
-        h *= 2
-    return arr
+    bits = size.bit_length() - 1
+    passes = max(1, -(-bits // _BLOCK_BITS))
+    buffers = (np.empty(size), np.empty(size))
+    low = 0
+    for i in range(passes):
+        # Blocks as even as possible, largest first: a lone 1- or 2-bit pass
+        # would take thousands of tiny products at n = 21 or 22.
+        k = (bits + passes - 1 - i) // passes
+        dst = buffers[i % 2]
+        if low == 0:
+            # The lowest bits index rows: multiply 128-row blocks from the right
+            # (the matrix is symmetric).
+            shape = (-1, min(size >> k, _MAX_COLUMNS), 1 << k)
+            np.matmul(src.reshape(shape), _hadamard(k), out=dst.reshape(shape))
+        else:
+            # Bits low..low+k-1 index the middle axis of (high, 2^k, low);
+            # the low axis is cut into blocks of at most 128 columns.
+            width = min(1 << low, _MAX_COLUMNS)
+            shape = (size >> (low + k), 1 << k, (1 << low) // width, width)
+            np.matmul(
+                _hadamard(k),
+                src.reshape(shape).swapaxes(1, 2),
+                out=dst.reshape(shape).swapaxes(1, 2),
+            )
+        src, low = dst, low + k
+    return src
 
 
 def xor_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -266,12 +266,30 @@ def exhaustive_distance_extremes(n: int, m: int, n_second: int) -> OracleResult:
     return exhaustive_extremes(n, m, n_second, None, objective="distance")
 
 
+def _radix2(values: np.ndarray) -> np.ndarray:
+    """The Walsh transform by n radix-2 passes, for local search's float inputs.
+
+    ``fwht`` sums in blocks of up to 5 bits, which rounds float input differently;
+    keeping this order keeps local-search scores, and so its witnesses, as
+    they were.
+    """
+    arr = np.array(values, dtype=np.float64, copy=True)
+    h = 1
+    while h < arr.shape[0]:
+        view = arr.reshape(-1, 2 * h)
+        left = view[:, :h].copy()
+        view[:, :h] = left + view[:, h:]
+        view[:, h:] = left - view[:, h:]
+        h *= 2
+    return arr
+
+
 def _alternate(g_hat: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Give A and B in turn their exact best response until one changes nothing.
 
     ``g_hat`` is sign / 2^n times the transform of the pair weight by word
-    weight, so fwht(fwht(1_B) * g_hat) is sign * K 1_B, and the best A of size
-    m is its top m entries (ties by word index).  A side changes only when its
+    weight, so _radix2(fwht(1_B) * g_hat) is sign * K 1_B, and the best A of
+    size m is its top m entries (ties by word index).  A side changes only when its
     response beats it by more than 1e-15, so each round raises sign * q and a
     fixed point is single-swap optimal.  Returns (a, b, sign * q, rounds,
     converged).
@@ -280,7 +298,7 @@ def _alternate(g_hat: np.ndarray, a: np.ndarray, b: np.ndarray):
     for step in itertools.count():
         other = np.zeros(g_hat.shape[0])
         other[sides[1 - side]] = 1.0
-        scores = fwht(fwht(other) * g_hat)
+        scores = _radix2(fwht(other) * g_hat)
         current = float(scores[sides[side]].sum())
         top = np.argsort(-scores, kind="stable")[: sides[side].shape[0]]
         if float(scores[top].sum()) > current + 1e-15:
@@ -332,7 +350,7 @@ def local_search(
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     sign = 1.0 if direction == "max" else -1.0
-    g_hat = fwht(_weight_table(n, rho)[np.bitwise_count(np.arange(size))]) * (sign / size)
+    g_hat = _radix2(_weight_table(n, rho)[np.bitwise_count(np.arange(size))]) * (sign / size)
     starts = []
     if m & (m - 1) == 0 and n_second & (n_second - 1) == 0:
         pin_a = n - m.bit_length() + 1

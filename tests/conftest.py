@@ -27,6 +27,20 @@ settings.load_profile("suite")
 # reference implementations
 
 
+def radix2_fwht(values):
+    """Walsh transform by n radix-2 butterfly passes over a copy of the input:
+    the summation order the blocked transform replaced."""
+    arr = np.array(values, dtype=np.float64, copy=True)
+    h = 1
+    while h < arr.shape[0]:
+        view = arr.reshape(-1, 2 * h)
+        left = view[:, :h].copy()
+        view[:, :h] = left + view[:, h:]
+        view[:, h:] = left - view[:, h:]
+        h *= 2
+    return arr
+
+
 def brute_distance_distribution(code_a, code_b):
     """Distance histogram of two codes by direct double loop."""
     n = code_a.n

@@ -75,6 +75,45 @@ class TestConstruction:
         with pytest.raises(WordRangeError):
             BinaryCode(2, (1, 1))
 
+    @pytest.mark.parametrize(
+        "n, words, message",
+        [
+            (3, (1, 2.0), "word 2.0 out of range for dimension 3"),
+            (3, (np.int64(1),), "word 1 out of range for dimension 3"),
+            (3, (1, 1), "words must be strictly increasing"),
+            (3, (2, 1), "words must be strictly increasing"),
+            (3, (2, 1, 9), "words must be strictly increasing"),
+            (3, (9, 1), "word 9 out of range for dimension 3"),
+            (1, (-1, 0), "word -1 out of range for dimension 1"),
+            (1, (0, 2), "word 2 out of range for dimension 1"),
+            (64, (-1,), "word -1 out of range for dimension 64"),
+            (64, (0, 1 << 64), f"word {1 << 64} out of range for dimension 64"),
+        ],
+    )
+    def test_word_guard_names_the_first_fault(self, n, words, message):
+        with pytest.raises(WordRangeError) as info:
+            BinaryCode(n, words)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_both_ends_of_the_word_range_are_accepted(self, n):
+        assert BinaryCode(n, (0, (1 << n) - 1)).size == 2
+
+    def test_contains_at_64_bits(self):
+        top = (1 << 64) - 1
+        code = make_code(64, [top, 1 << 63, 0])
+        assert code.words == (0, 1 << 63, top)
+        for word in code.words:
+            assert word in code
+        for word in (1, (1 << 63) - 1, (1 << 63) + 1, top - 1, -1, 1 << 64):
+            assert word not in code
+
+    def test_make_code_accepts_numpy_integers(self):
+        code = make_code(4, np.array([9, 3, 9, 0], dtype=np.int64))
+        assert code.words == (0, 3, 9)
+        assert all(type(w) is int for w in code.words)
+        assert make_code(4, [np.uint8(5), np.int32(2)]).words == (2, 5)
+
 
 class TestDerivedCodes:
     def test_complement(self):
@@ -91,6 +130,12 @@ class TestDerivedCodes:
         for _ in range(20):
             code = random_code(rng, 4)
             assert star(star(code)).words == code.words
+
+    @pytest.mark.parametrize("k", [48, 60, 62, 63, 64])
+    def test_subcube_at_64_bits(self, k):
+        low = (1 << k) - 1
+        code = subcube(64, k)
+        assert code.words == tuple(low | (m << k) for m in range(1 << (64 - k)))
 
     def test_subcube_fixes_low_coordinates(self):
         assert subcube(3, 1).words == (1, 3, 5, 7)

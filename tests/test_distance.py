@@ -49,6 +49,17 @@ class TestDistanceDistribution:
             ref = brute_distance_distribution(a, b)
             assert np.allclose(got.p, ref, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_pairwise_at_the_widest_words(self, rng, n):
+        """Words at and above 2^63 are counted like any other."""
+        top = (1 << n) - 1
+        edges = [0, 1 << (n - 1), top, top ^ 1]
+        drawn = [int(w) for w in rng.integers(0, 1 << 62, 20, dtype=np.int64)]
+        a = make_code(n, edges + [w << (n - 62) for w in drawn[:10]])
+        b = make_code(n, edges[1:] + [top - w for w in drawn[10:]])
+        for x, y in ((a, b), (a, a), (b, a)):
+            assert distance_distribution(x, y).p == tuple(brute_distance_distribution(x, y))
+
     def test_self_distribution_default(self):
         code = make_code(2, [0, 3])
         dist = distance_distribution(code)

@@ -20,8 +20,9 @@ from nisim import (
     theta_from_levels,
 )
 from nisim.errors import DimensionMismatchError, ParameterRangeError
+from nisim.fourier import _hadamard
 
-from conftest import random_code
+from conftest import radix2_fwht, random_code
 
 
 class TestFwht:
@@ -52,6 +53,35 @@ class TestFwht:
     def test_self_inverse_property(self, n, seed):
         values = np.random.default_rng(seed).uniform(-1, 1, 1 << n)
         assert np.allclose(fwht(fwht(values)), values * (1 << n), atol=1e-9)
+
+    def test_rejects_input_that_is_not_one_dimensional(self):
+        with pytest.raises(ParameterRangeError, match="1-D"):
+            fwht(np.ones((4, 8)))
+        with pytest.raises(ParameterRangeError, match="1-D"):
+            fwht(np.float64(1.0))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_blocked_is_exact_on_integer_input(self, rng, n):
+        """Every product is +-1 times an input, so on 0/1 and +-1 vectors the
+        blocked sums equal the radix-2 sums exactly."""
+        bits = rng.integers(0, 2, 1 << n).astype(np.float64)
+        assert np.array_equal(fwht(bits), radix2_fwht(bits))
+        signs = 2.0 * bits - 1.0
+        assert np.array_equal(fwht(signs), radix2_fwht(signs))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_blocked_rounds_float_input_within_tolerance(self, rng, n):
+        values = rng.normal(size=1 << n)
+        err = np.max(np.abs(fwht(values) - radix2_fwht(values)))
+        assert err <= 1e-15 * np.abs(values).sum()
+
+    def test_hadamard_blocks_are_read_only(self):
+        for k in range(6):
+            h = _hadamard(k)
+            assert h.shape == (1 << k, 1 << k)
+            with pytest.raises(ValueError):
+                h[0, 0] = 2.0
+            assert np.array_equal(h @ h, (1 << k) * np.eye(1 << k))
 
 
 class TestSpectrum:

@@ -58,6 +58,16 @@ class TestCollisionProb:
                 ref = brute_collision_prob(n, a.words, b.words, rho)
                 assert abs(got - ref) <= 1e-12
 
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_widest_words(self, n):
+        top = (1 << n) - 1
+        a = make_code(n, [0, 1 << (n - 1), top, 12345 << (n - 20)])
+        b = make_code(n, [top, top ^ 1, 1 << (n - 1), (1 << (n - 1)) - 1])
+        for rho in (-0.9, 0.0, 0.5, 1.0):
+            got = collision_prob(a, b, rho)
+            ref = brute_collision_prob(n, a.words, b.words, rho)
+            assert abs(got - ref) <= 1e-12 * ref
+
     def test_independent_case_factorizes(self, rng):
         a = random_code(rng, 5)
         b = random_code(rng, 5)
