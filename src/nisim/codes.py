@@ -1,11 +1,11 @@
 """Subsets of the Boolean hypercube and their symmetries.
 
-A code is a nonempty set of n-bit words, stored as a strictly increasing tuple
-of integers.  Bit i of a word is coordinate i+1 of the corresponding point of
-{-1,+1}^n under the convention bit=1 <-> +1.  The symmetry group of the cube
-(coordinate permutations composed with coordinate flips) acts on codes; for
-n <= MAX_CANONICAL_DIM = 6 a code, or a pair of codes jointly, canonicalizes to
-a lexicographically minimal orbit representative.
+A code is a nonempty set of n-bit words, stored as a sorted, duplicate-free,
+read-only uint64 array.  Bit i of a word is coordinate i+1 of the corresponding
+point of {-1,+1}^n under the convention bit=1 <-> +1.  The symmetry group of
+the cube (coordinate permutations composed with coordinate flips) acts on
+codes; for n <= MAX_CANONICAL_DIM = 6 a code, or a pair of codes jointly,
+canonicalizes to a lexicographically minimal orbit representative.
 
 Canonicalization uses a 64-bit key: word w of a code sets bit 2^n-1-w.  Among
 codes of one size the smallest sorted word list has the largest key, so the
@@ -15,11 +15,10 @@ lexicographic maximum of (key of a, key of b) under one group element.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -37,87 +36,141 @@ MAX_TRANSFORM_DIM = 24
 MAX_CANONICAL_DIM = 6
 
 
-@dataclass(frozen=True)
 class BinaryCode:
-    """A nonempty subset of {0,1}^n, words sorted strictly increasing."""
+    """A nonempty subset of {0,1}^n, stored as a sorted, read-only uint64 array.
 
-    n: int
-    words: tuple[int, ...]
+    ``BinaryCode(n, words)`` checks that the words are strictly increasing ints
+    in range; the builders below hand their arrays to ``_code`` unchecked.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1 or self.n > MAX_DIM:
-            raise DimensionRangeError(f"dimension must be in 1..{MAX_DIM}, got {self.n}")
-        words = self.words
+    def __init__(self, n: int, words):
+        _check_dim(n)
         if len(words) == 0:
             raise EmptyCodeError("a code needs at least one word")
         # Three C-level passes accept a valid code; the loop below names the
         # first fault of any other.
-        if (
+        if not (
             set(map(type, words)) == {int}
             and all(map(operator.lt, words, itertools.islice(words, 1, None)))
             and words[0] >= 0
-            and words[-1] < 1 << self.n
+            and words[-1] < 1 << n
         ):
-            return
-        limit = 1 << self.n
-        prev = -1
-        for w in words:
-            if not isinstance(w, int) or w < 0 or w >= limit:
-                raise WordRangeError(f"word {w} out of range for dimension {self.n}")
-            if w <= prev:
-                raise WordRangeError("words must be strictly increasing")
-            prev = w
+            limit, prev = 1 << n, -1
+            for w in words:
+                if not isinstance(w, int) or w < 0 or w >= limit:
+                    raise WordRangeError(f"word {w} out of range for dimension {n}")
+                if w <= prev:
+                    raise WordRangeError("words must be strictly increasing")
+                prev = w
+        array = np.array(words, dtype=np.uint64)
+        array.setflags(write=False)
+        self.__dict__.update(n=n, _array=array, _words=tuple(words))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def words(self) -> tuple[int, ...]:
+        """The words as Python ints, built on first use."""
+        if self._words is None:
+            self.__dict__["_words"] = tuple(self._array.tolist())
+        return self._words
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self._array)
 
     @property
     def density(self) -> float:
         """Fraction of the cube covered, |A| / 2^n."""
-        return len(self.words) / (1 << self.n)
+        return len(self._array) / (1 << self.n)
 
     def word_array(self) -> np.ndarray:
-        return np.fromiter(self.words, dtype=np.int64, count=len(self.words))
+        """The stored words, sorted, as a read-only uint64 array (not a copy)."""
+        return self._array
 
-    def __contains__(self, word: int) -> bool:
-        i = bisect.bisect_left(self.words, word)
-        return i < len(self.words) and self.words[i] == word
+    def indicator(self, off: float = 0.0) -> np.ndarray:
+        """1.0 at each of the code's words and ``off`` at the rest of the 2^n."""
+        table = np.full(1 << self.n, off)
+        table[self._array.view(np.int64)] = 1.0
+        return table
+
+    def __contains__(self, word) -> bool:
+        i = int(self._array.searchsorted(word)) if 0 <= word < 1 << 64 else self.size
+        return i < self.size and bool(self._array[i] == word)
+
+    def __eq__(self, other):
+        same = isinstance(other, BinaryCode) and self.n == other.n
+        return same and np.array_equal(self._array, other._array)
+
+    def __hash__(self):
+        return hash((self.n, self._array.tobytes()))
+
+    def __repr__(self):
+        return f"BinaryCode(n={self.n!r}, words={self.words!r})"
+
+
+def _code(n: int, array: np.ndarray) -> BinaryCode:
+    """A code of a sorted, duplicate-free uint64 array of words below 2^n."""
+    array.setflags(write=False)
+    code = object.__new__(BinaryCode)
+    code.__dict__.update(n=n, _array=array, _words=None)
+    return code
+
+
+def _check_dim(n) -> None:
+    if not isinstance(n, int) or n < 1 or n > MAX_DIM:
+        raise DimensionRangeError(f"dimension must be in 1..{MAX_DIM}, got {n}")
 
 
 def make_code(n: int, words) -> BinaryCode:
-    """Build a code from an iterable of words, deduplicating and sorting."""
-    if not isinstance(n, int) or n < 1 or n > MAX_DIM:
-        raise DimensionRangeError(f"dimension must be in 1..{MAX_DIM}, got {n}")
-    ws = sorted(set(map(int, words)))
-    if not ws:
-        raise EmptyCodeError("a code needs at least one word")
-    return BinaryCode(n, tuple(ws))
+    """Build a code from an iterable of words, each coerced with ``int``, sorted
+    and deduplicated.  Words past int64, non-integer arrays and faults go word by
+    word through ``BinaryCode``'s check, which names the first fault."""
+    _check_dim(n)
+    if not isinstance(words, (list, tuple, np.ndarray)):
+        words = list(words)
+    try:
+        # dtype=int64 applies int() to each Python word; an array keeps its dtype.
+        arr = np.array(words, dtype=None if isinstance(words, np.ndarray) else np.int64)
+    except (OverflowError, TypeError, ValueError):
+        arr = None
+    if arr is not None and arr.ndim == 1 and arr.size and arr.dtype.kind in "biu":
+        arr.sort()
+        if arr[0] >= 0 and int(arr[-1]) < 1 << n:
+            arr = arr.view(np.uint64) if arr.itemsize == 8 else arr.astype(np.uint64)
+            distinct = arr[1:] != arr[:-1]
+            if not distinct.all():
+                arr = arr[np.concatenate(([True], distinct))]
+            return _code(n, arr)
+    return BinaryCode(n, tuple(sorted(set(map(int, words)))))
 
 
 def complement(code: BinaryCode) -> BinaryCode:
     """All words of the cube not in the code.  Errors if the code is the full cube."""
+    if code.n > MAX_TRANSFORM_DIM:
+        raise DimensionRangeError(
+            f"dimension must be in 1..{MAX_TRANSFORM_DIM} for the complement, got {code.n}"
+        )
     total = 1 << code.n
     if code.size == total:
         raise EmptyCodeError("complement of the full cube is empty")
     mask = np.ones(total, dtype=bool)
-    mask[code.word_array()] = False
-    return BinaryCode(code.n, tuple(np.flatnonzero(mask).tolist()))
+    mask[code.word_array().view(np.int64)] = False
+    return _code(code.n, np.flatnonzero(mask).view(np.uint64))
 
 
 def star(code: BinaryCode) -> BinaryCode:
     """Flip every coordinate of every word (antipodal image of the code)."""
-    full = (1 << code.n) - 1
-    return BinaryCode(code.n, tuple(sorted(w ^ full for w in code.words)))
+    return _code(code.n, code.word_array()[::-1] ^ ((1 << code.n) - 1))
 
 
 def subcube(n: int, k: int) -> BinaryCode:
     """The 2^(n-k) words whose first k coordinates are all 1."""
-    if not isinstance(n, int) or n < 1 or n > MAX_DIM:
-        raise DimensionRangeError(f"dimension must be in 1..{MAX_DIM}, got {n}")
+    _check_dim(n)
     if not isinstance(k, int) or k < 0 or k > n:
         raise ParameterRangeError(f"pinned-coordinate count must be in 0..{n}, got {k}")
-    return BinaryCode(n, tuple(range((1 << k) - 1, 1 << n, 1 << k)))
+    return _code(n, np.arange(1 << (n - k), dtype=np.uint64) << k | (1 << k) - 1)
 
 
 def hamming_ball(n: int, center: int, radius: int) -> BinaryCode:
@@ -131,7 +184,7 @@ def hamming_ball(n: int, center: int, radius: int) -> BinaryCode:
     if radius < 0 or radius > n:
         raise ParameterRangeError(f"radius must be in 0..{n}, got {radius}")
     dist = np.bitwise_count(np.arange(1 << n, dtype=np.int64) ^ center)
-    return BinaryCode(n, tuple(np.flatnonzero(dist <= radius).tolist()))
+    return _code(n, np.flatnonzero(dist <= radius).view(np.uint64))
 
 
 @dataclass(frozen=True)
@@ -168,7 +221,9 @@ class CubeSymmetry:
 def apply_symmetry(g: CubeSymmetry, code: BinaryCode) -> BinaryCode:
     if g.n != code.n:
         raise DimensionMismatchError(f"symmetry on {g.n} bits applied to {code.n}-bit code")
-    return BinaryCode(code.n, tuple(sorted(g.apply(w) for w in code.words)))
+    words = code.word_array()
+    images = sum(((words >> i) & 1) << p for i, p in enumerate(g.perm)) ^ g.flips
+    return _code(code.n, np.sort(images))
 
 
 def symmetry_group(n: int) -> tuple[CubeSymmetry, ...]:
@@ -220,7 +275,7 @@ def _orbit_keys(n: int, *word_arrays: np.ndarray) -> np.ndarray:
     """Row i: the key of ``word_arrays[i]``'s image under every group element,
     column g being the same element in every row."""
     table = _perm_key_table(n)
-    keys = np.stack([table[:, words].sum(axis=1) for words in word_arrays])
+    keys = np.stack([table[:, words.view(np.int64)].sum(axis=1) for words in word_arrays])
     for shift, mask in _FLIPS[:n]:
         flipped = ((keys & mask) << shift) | ((keys >> shift) & mask)
         keys = np.concatenate([keys, flipped], axis=1)
@@ -228,9 +283,9 @@ def _orbit_keys(n: int, *word_arrays: np.ndarray) -> np.ndarray:
 
 
 def _key_code(n: int, key) -> BinaryCode:
-    """The code of a key: character w of its 2^n-digit binary string is word w."""
-    bits = format(int(key), f"0{1 << n}b")
-    return BinaryCode(n, tuple(w for w, c in enumerate(bits) if c == "1"))
+    """The code of a key: word w is in it when key bit 2^n-1-w is set."""
+    shifts = np.arange((1 << n) - 1, -1, -1, dtype=np.uint64)
+    return _code(n, np.flatnonzero((np.uint64(key) >> shifts) & 1).view(np.uint64))
 
 
 def canonical_form(code: BinaryCode) -> BinaryCode:
@@ -273,8 +328,7 @@ def parse_code(text: str) -> BinaryCode:
         n = int(lines[0][2:])
     except ValueError as exc:
         raise FormatError(f"bad dimension in header: {lines[0]!r}") from exc
-    if n < 1 or n > MAX_DIM:
-        raise DimensionRangeError(f"dimension must be in 1..{MAX_DIM}, got {n}")
+    _check_dim(n)
     words = []
     for ln in lines[1:]:
         if len(ln) != n:

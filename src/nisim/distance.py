@@ -80,10 +80,8 @@ class AvgDistanceBounds:
 
 def _pairwise_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
     counts = np.zeros(a.n + 1, dtype=np.int64)
-    # Unsigned, so that words of 64-bit codes at or above 2^63 fit.
-    bw = np.fromiter(b.words, dtype=np.uint64, count=b.size)
+    aw, bw = a.word_array(), b.word_array()
     chunk = max(1, (1 << 22) // max(1, b.size))
-    aw = np.fromiter(a.words, dtype=np.uint64, count=a.size)
     for start in range(0, a.size, chunk):
         block = aw[start : start + chunk, None] ^ bw[None, :]
         dists = np.bitwise_count(block)
@@ -93,11 +91,7 @@ def _pairwise_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
 
 def _transform_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
     size = 1 << a.n
-    ind_a = np.zeros(size)
-    ind_a[a.word_array()] = 1.0
-    ind_b = np.zeros(size)
-    ind_b[b.word_array()] = 1.0
-    conv = xor_convolve(ind_a, ind_b)
+    conv = xor_convolve(a.indicator(), b.indicator())
     weights = np.bitwise_count(np.arange(size, dtype=np.int64))
     raw = np.bincount(weights, weights=conv, minlength=a.n + 1)
     counts = np.rint(raw)
@@ -184,11 +178,7 @@ def dual_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DualDistrib
 
     if a.n <= _CHARSUM_CHECK_DIM:
         size = 1 << a.n
-        ind_a = np.zeros(size)
-        ind_a[a.word_array()] = 1.0
-        ind_b = np.zeros(size)
-        ind_b[b.word_array()] = 1.0
-        prods = fwht(ind_a) * fwht(ind_b)
+        prods = fwht(a.indicator()) * fwht(b.indicator())
         weights = np.bitwise_count(np.arange(size, dtype=np.int64))
         direct = np.bincount(weights, weights=prods, minlength=a.n + 1) / (a.size * b.size)
         err = float(np.max(np.abs(direct - np.array(q))))
@@ -197,7 +187,7 @@ def dual_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DualDistrib
                 f"spectral and character-sum dual paths disagree by {err:.3e}"
             )
 
-    if a.words == b.words:
+    if a == b:
         if min(q) < -1e-12:
             raise NumericalConsistencyError(
                 f"self dual distribution has entry {min(q):.3e} below -1e-12"

@@ -107,9 +107,7 @@ def spectrum(code: BinaryCode) -> FourierSpectrum:
             f"spectrum supports dimensions up to {MAX_TRANSFORM_DIM}, got {code.n}"
         )
     size = 1 << code.n
-    table = np.full(size, -1.0)
-    table[code.word_array()] = 1.0
-    transformed = fwht(table)
+    transformed = fwht(code.indicator(-1.0))
     # The character convention counts a coordinate as active when its bit is 0,
     # so each mask picks up a sign (-1)^popcount(mask) relative to the raw kernel.
     signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(size, dtype=np.int64)) & 1)

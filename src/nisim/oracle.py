@@ -391,8 +391,8 @@ def local_search(
         if score < top - 1e-12 or pair_bytes in seen:
             continue
         seen.add(pair_bytes)
-        code_a = make_code(n, a.tolist())
-        code_b = make_code(n, b.tolist())
+        code_a = make_code(n, a)
+        code_b = make_code(n, b)
         value = collision_prob(code_a, code_b, rho)
         if n <= MAX_CANONICAL_DIM:
             code_a, code_b = canonical_pair(code_a, code_b)

@@ -193,12 +193,11 @@ def _run_families(lab: _Lab, c: _Collector) -> None:
     err = abs(float(np.sum(lab.fa.coeffs**2)) - 1.0)
     c.check("parseval", err, 1e-9, where)
 
-    ind = np.zeros(size)
-    ind[a.word_array()] = 1.0
+    ind = a.indicator()
     err = float(np.max(np.abs(fwht(fwht(ind)) / size - ind)))
     c.check("transform-self-inverse", err, 1e-9, where)
 
-    signs = 2.0 * ((a.word_array()[:, None] >> np.arange(n)) & 1) - 1.0
+    signs = 2.0 * ((a.word_array()[:, None] >> np.arange(n, dtype=np.uint64)) & 1) - 1.0
     expect = 2.0 * signs.sum(axis=0) / size
     got = np.array([lab.fa.coeffs[1 << i] for i in range(n)])
     c.check("level-one-extraction", float(np.max(np.abs(got - expect))), 1e-9, where)
@@ -207,9 +206,7 @@ def _run_families(lab: _Lab, c: _Collector) -> None:
     err = abs(lab.levels.s[1] - 4.0 * da * db * (n - 2.0 * d_ab))
     c.check("level-one-sum", err, 1e-9, where)
 
-    ind_b = np.zeros(size)
-    ind_b[b.word_array()] = 1.0
-    prods = fwht(ind) * fwht(ind_b)
+    prods = fwht(ind) * fwht(b.indicator())
     weights = np.bitwise_count(np.arange(size, dtype=np.int64))
     direct = np.bincount(weights, weights=prods, minlength=n + 1) / (a.size * b.size)
     err = float(np.max(np.abs(direct - np.array(lab.dual_ab.q))))
@@ -356,8 +353,8 @@ def run_verify(
         for _ in range(trials):
             sa = int(rng.integers(1, size + 1))
             sb = int(rng.integers(1, size + 1))
-            a = make_code(n, rng.permutation(size)[:sa].tolist())
-            b = make_code(n, rng.permutation(size)[:sb].tolist())
+            a = make_code(n, rng.permutation(size)[:sa])
+            b = make_code(n, rng.permutation(size)[:sb])
             sym = None
             if n <= MAX_CANONICAL_DIM:
                 sym = CubeSymmetry(

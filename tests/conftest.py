@@ -97,8 +97,8 @@ def brute_extremes_no_symmetry(n, m, n_second, rho):
 
 def brute_orbit(*codes):
     """Joint images of the codes under every cube symmetry, as tuples of word
-    lists, one per group element.  Applies each element word by word, so it
-    shares nothing with the package's canonicalization keys.  The minimum of
+    lists, one per group element.  Applies each element to the words
+    themselves, so it shares nothing with the package's canonicalization keys.  The minimum of
     the result is the canonical form (one code) or canonical pair (two)."""
     return [
         tuple(apply_symmetry(g, c).words for c in codes)

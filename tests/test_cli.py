@@ -238,6 +238,16 @@ class TestTopLevel:
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
 
+    def test_import_leaves_scipy_out(self):
+        # scipy may be installed, but the package depends on numpy alone.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, nisim, nisim.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "nisim.cli", "bounds",

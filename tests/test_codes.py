@@ -114,6 +114,120 @@ class TestConstruction:
         assert all(type(w) is int for w in code.words)
         assert make_code(4, [np.uint8(5), np.int32(2)]).words == (2, 5)
 
+    @pytest.mark.parametrize(
+        "words",
+        [
+            [9, 3, 9, 0],
+            (9, 3, 9, 0),
+            (w for w in (9, 3, 9, 0)),
+            {9, 3, 0},
+            np.array([9, 3, 9, 0], dtype=np.int64),
+            np.array([9, 3, 9, 0], dtype=np.uint8),
+            np.array([9.5, 3.0, 0.2]),
+            [np.uint64(9), np.int16(3), np.int64(0)],
+            [9.9, 3, 0.7],
+            ["9", "3", "0"],
+        ],
+        ids=["list", "tuple", "generator", "set", "int64", "uint8", "float-array",
+             "numpy-scalars", "floats", "strings"],
+    )
+    def test_make_code_coerces_words_with_int(self, words):
+        code = make_code(4, words)
+        assert code == BinaryCode(4, (0, 3, 9))
+        assert all(type(w) is int for w in code.words)
+
+    def test_make_code_truncates_float_words(self):
+        assert make_code(3, [2.7]).words == (2,)
+        assert make_code(3, [-0.5, 1]).words == (0, 1)
+        with pytest.raises(WordRangeError) as info:
+            make_code(3, [-1.5, 2])
+        assert str(info.value) == "word -1 out of range for dimension 3"
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            ([5, -3, 7], "word -3 out of range for dimension 2"),
+            (np.array([5, 1, 4]), "word 4 out of range for dimension 2"),
+            ([1 << 64], f"word {1 << 64} out of range for dimension 2"),
+        ],
+    )
+    def test_make_code_names_the_smallest_bad_word(self, words, message):
+        with pytest.raises(WordRangeError) as info:
+            make_code(2, words)
+        assert str(info.value) == message
+
+    def test_word_array_at_64_bits(self):
+        words = [0, 1, 1 << 63, (1 << 64) - 1]
+        code = make_code(64, words[::-1])
+        assert code.word_array().dtype == np.uint64
+        assert code.word_array().tolist() == words
+        assert code.words == tuple(words)
+        assert make_code(64, code.word_array()) == code
+        top = make_code(64, [1 << 63, (1 << 63) + 1])
+        assert (1 << 63) in top and (1 << 63) + 1 in top and (1 << 63) + 2 not in top
+
+
+class TestRepresentation:
+    def test_equal_codes_hash_alike(self):
+        direct, built = BinaryCode(3, (0, 1, 5)), make_code(3, [5, 1, 0])
+        assert direct == built and hash(direct) == hash(built)
+        table = {direct: "first"}
+        table[built] = "second"
+        assert table == {make_code(3, (1, 0, 5)): "second"}
+
+    def test_dimension_is_part_of_the_value(self):
+        assert make_code(3, [1, 2]) != make_code(4, [1, 2])
+        assert make_code(3, [1, 2]) != make_code(3, [1, 3])
+        assert make_code(3, [1, 2]) != (1, 2)
+
+    def test_repr_lists_the_words(self):
+        assert repr(make_code(3, [5, 1])) == "BinaryCode(n=3, words=(1, 5))"
+
+    def test_word_array_is_the_stored_read_only_array(self):
+        code = make_code(4, [3, 1])
+        arr = code.word_array()
+        assert arr is code.word_array()
+        assert np.shares_memory(arr, code.word_array())
+        with pytest.raises(ValueError):
+            arr[0] = 7
+        assert code.words == (1, 3)
+
+    def test_indicator_marks_the_words(self):
+        code = make_code(3, [6, 1])
+        assert code.indicator().tolist() == [0, 1, 0, 0, 0, 0, 1, 0]
+        assert code.indicator(-1.0).tolist() == [-1, 1, -1, -1, -1, -1, 1, -1]
+
+    def test_codes_are_immutable(self):
+        code = make_code(2, [1])
+        with pytest.raises(AttributeError):
+            code.n = 3
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_code(5, [30, 2, 2, 17]),
+            lambda: BinaryCode(5, (2, 17, 30)),
+            lambda: subcube(5, 2),
+            lambda: hamming_ball(5, 9, 2),
+            lambda: complement(make_code(5, [2, 17, 30])),
+            lambda: star(make_code(5, [2, 17, 30])),
+            lambda: apply_symmetry(CubeSymmetry((2, 0, 4, 1, 3), 11), make_code(5, [2, 17, 30])),
+            lambda: canonical_form(make_code(5, [2, 17, 30])),
+            lambda: canonical_pair(make_code(5, [2, 17]), make_code(5, [30]))[1],
+            lambda: subcube(64, 60),
+        ],
+        ids=["make_code", "BinaryCode", "subcube", "hamming_ball", "complement", "star",
+             "apply_symmetry", "canonical_form", "canonical_pair", "subcube-64"],
+    )
+    def test_every_builder_stores_a_checked_array(self, build):
+        code = build()
+        arr = code.word_array()
+        assert arr.dtype == np.uint64 and arr.ndim == 1 and not arr.flags.writeable
+        assert all(type(w) is int for w in code.words)
+        assert arr.tolist() == list(code.words)
+        # The public constructor re-checks the words the builder stored.
+        assert BinaryCode(code.n, code.words) == code
+
 
 class TestDerivedCodes:
     def test_complement(self):
@@ -121,6 +235,11 @@ class TestDerivedCodes:
         assert complement(code).words == (1, 2)
         with pytest.raises(EmptyCodeError):
             complement(make_code(2, [0, 1, 2, 3]))
+
+    @pytest.mark.parametrize("n", [25, 64])
+    def test_complement_refuses_dimensions_past_the_transform_limit(self, n):
+        with pytest.raises(DimensionRangeError):
+            complement(make_code(n, [0, (1 << n) - 1]))
 
     def test_star_mirrors_through_all_ones(self):
         assert star(make_code(2, [0])).words == (3,)
