@@ -272,14 +272,25 @@ _FLIPS = tuple(
 
 
 def _orbit_keys(n: int, *word_arrays: np.ndarray) -> np.ndarray:
-    """Row i: the key of ``word_arrays[i]``'s image under every group element,
-    column g being the same element in every row."""
+    """Row i: the key of the i-th code's image under every group element,
+    column g being the same element in every row.  The codes are the rows of
+    each 2-D array in turn."""
     table = _perm_key_table(n)
-    keys = np.stack([table[:, words.view(np.int64)].sum(axis=1) for words in word_arrays])
+    keys = np.concatenate([table[:, words.view(np.int64)].sum(axis=2).T for words in word_arrays])
     for shift, mask in _FLIPS[:n]:
         flipped = ((keys & mask) << shift) | ((keys >> shift) & mask)
         keys = np.concatenate([keys, flipped], axis=1)
     return keys
+
+
+def _pair_keys(n: int, a_words: np.ndarray, b_words: np.ndarray):
+    """The keys of each row pair's canonical pair: the largest key of
+    ``a_words[i]`` over the group, and the largest key of ``b_words[i]`` under
+    the elements attaining it.  Two arrays of one key per row."""
+    keys = _orbit_keys(n, a_words, b_words)
+    ka, kb = keys[: len(a_words)], keys[len(a_words) :]
+    best = ka.max(axis=1)
+    return best, kb.max(axis=1, where=ka == best[:, None], initial=0)
 
 
 def _key_code(n: int, key) -> BinaryCode:
@@ -292,7 +303,7 @@ def canonical_form(code: BinaryCode) -> BinaryCode:
     """Lexicographically smallest sorted word list over the code's orbit: the
     code of the orbit's largest key (bit 2^n-1-w set for each word w)."""
     _check_canonical_dim(code.n)
-    return _key_code(code.n, _orbit_keys(code.n, code.word_array()).max())
+    return _key_code(code.n, _orbit_keys(code.n, code.word_array()[None]).max())
 
 
 def canonical_pair(a: BinaryCode, b: BinaryCode) -> tuple[BinaryCode, BinaryCode]:
@@ -305,9 +316,8 @@ def canonical_pair(a: BinaryCode, b: BinaryCode) -> tuple[BinaryCode, BinaryCode
     if a.n != b.n:
         raise DimensionMismatchError(f"pair dimensions differ: {a.n} vs {b.n}")
     _check_canonical_dim(a.n)
-    ka, kb = _orbit_keys(a.n, a.word_array(), b.word_array())
-    best = ka.max()
-    return _key_code(a.n, best), _key_code(b.n, kb[ka == best].max())
+    ka, kb = _pair_keys(a.n, a.word_array()[None], b.word_array()[None])
+    return _key_code(a.n, ka[0]), _key_code(b.n, kb[0])
 
 
 def format_code(code: BinaryCode) -> str:

@@ -5,6 +5,7 @@ code paths.  They walk codewords with plain Python loops so that agreement
 between the two is evidence of correctness rather than of shared bugs.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -62,6 +63,18 @@ def brute_collision_prob(n, words_a, words_b, rho):
             d = bin(x ^ y).count("1")
             total += lo**d * hi ** (n - d)
     return total
+
+
+def fraction_collision_prob(n, words_a, words_b, rho):
+    """Joint one-one probability as an exact Fraction: the count of word pairs
+    at each distance d times the cell mass ((1-rho)/4)^d ((1+rho)/4)^(n-d)."""
+    counts = [0] * (n + 1)
+    for x in words_a:
+        for y in words_b:
+            counts[bin(x ^ y).count("1")] += 1
+    r = Fraction(rho)
+    lo, hi = (1 - r) / 4, (1 + r) / 4
+    return sum(c * lo**d * hi ** (n - d) for d, c in enumerate(counts) if c)
 
 
 def brute_dual_distribution(code_a, code_b):

@@ -220,6 +220,29 @@ class TestTopLevel:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 
+    def test_one_process_reuses_the_parser(self, capsys):
+        # main keeps one parser per process: failed parses, --help and
+        # non-default options must not change what later calls print.
+        assert run_cli(capsys, "frobnicate")[0] == 2
+        assert run_cli(capsys, "--help")[0] == 0
+        assert run_cli(capsys, "oracle", "--n", "4")[0] == 2
+        assert run_cli(capsys, "oracle", "--n", "3", "--m", "2", "--n2", "2", "--rho", "0.5",
+                       "--mode", "local", "--seed", "3", "--iters", "2")[0] == 0
+        for argv in (
+            ["bounds", "--a", "0.3", "--b", "0.2", "--rho", "0.4", "--format", "text"],
+            ["curve", "--rho", "0.5", "--grid", "0.25,0.1"],
+            ["oracle", "--n", "3", "--m", "3", "--n2", "5", "--rho", "0.5"],
+        ):
+            rc, out = run_cli(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "nisim.cli", *argv], capture_output=True, text=True
+            )
+            assert rc == fresh.returncode == 0, fresh.stderr
+            assert out == fresh.stdout
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
     @pytest.mark.parametrize("argv", [
         ["bounds", "--a", "0.25", "--b", "0.25", "--rho", "0.5"],
         ["curve", "--rho", "0.5"],

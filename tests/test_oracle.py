@@ -4,8 +4,9 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from nisim import (
@@ -30,7 +31,7 @@ from nisim.errors import (
 from nisim import oracle
 from nisim.oracle import MAX_LOCAL_DIM, _orbit_reps
 
-from conftest import brute_extremes_no_symmetry, brute_orbit_minima
+from conftest import brute_extremes_no_symmetry, brute_orbit_minima, fraction_collision_prob
 
 
 class TestExhaustiveCollision:
@@ -106,6 +107,15 @@ class TestExhaustiveCollision:
             assert found == counts
             assert 1 + sum(counts) == total
 
+    def test_every_pair_tied_at_zero_correlation(self):
+        # At rho = 0 every pair of sizes (4, 4) ties, so all 34,580 candidates
+        # go through the exact tie-break and the blocked witness pass.
+        res = exhaustive_extremes(4, 4, 4, 0.0)
+        assert res.max_q == res.min_q == 0.0625
+        for pair in (res.witness_max, res.witness_min):
+            assert (pair[0].words, pair[1].words) == ((0, 1, 2, 3), (0, 1, 2, 3))
+        assert (res.pairs_evaluated, res.orbits_enumerated) == (34580, 19)
+
     def test_budget_refusal_is_immediate(self):
         with pytest.raises(SearchBudgetError) as err:
             exhaustive_extremes(5, 4, 4, 0.5)
@@ -179,6 +189,59 @@ class TestBestResponses:
                     }
                     found = oracle._best_responses(reps, kernel, n_second, tol, sign)
                     assert optimal <= set(found), (m, n_second, sign)
+
+
+TIE_BREAK_RHOS = [0.0, 0.1, 0.3, -0.5, 1.0, -1.0]
+
+
+class TestExactTieBreak:
+    @pytest.mark.parametrize("rho", TIE_BREAK_RHOS)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_every_pair_at_n3_matches_fraction_reference(self, rho, sign):
+        """Given every pair of each size as candidates, the integer weights keep
+        exactly the pairs a Fraction evaluation ranks best (0.1 is 3602879701896397
+        / 2^55)."""
+        for m, n_second in ((2, 3), (4, 2)):
+            cands = list(product(combinations(range(8), m), combinations(range(8), n_second)))
+            exact = [sign * fraction_collision_prob(3, a, b, rho) for a, b in cands]
+            top = max(exact)
+            expected = [c for c, v in zip(cands, exact) if v == top]
+            assert oracle._exact_winners(cands, rho, 3, sign) == expected
+
+    @pytest.mark.parametrize("rho", TIE_BREAK_RHOS)
+    def test_best_responses_at_n4_match_fraction_reference(self, rho):
+        dists = oracle._distance_kernel(4)
+        kernel = oracle._weight_table(4, rho)[dists]
+        for m, n_second in ((2, 3), (5, 2)):
+            reps = _orbit_reps(4, m)
+            for sign in (1, -1):
+                cands = oracle._best_responses(reps, kernel, n_second, oracle._SCORE_TOL, sign)
+                exact = [sign * fraction_collision_prob(4, a, b, rho) for a, b in cands]
+                top = max(exact)
+                expected = [c for c, v in zip(cands, exact) if v == top]
+                assert oracle._exact_winners(cands, rho, 4, sign) == expected
+
+
+class TestWitnessBlocks:
+    @pytest.mark.parametrize("count", [1, oracle._BLOCK, oracle._BLOCK + 1, 3 * oracle._BLOCK - 7])
+    def test_blocked_witness_is_least_canonical_pair(self, rng, count):
+        cands = [
+            (tuple(sorted(rng.choice(16, 3, replace=False).tolist())),
+             tuple(sorted(rng.choice(16, 5, replace=False).tolist())))
+            for _ in range(count)
+        ]
+        pairs = [canonical_pair(make_code(4, a), make_code(4, b)) for a, b in cands]
+        expected = min((ca.words, cb.words) for ca, cb in pairs)
+        wa, wb = oracle._pick_witness(cands, 4)
+        assert (wa.words, wb.words) == expected
+
+
+def test_top_equals_stable_argsort_on_ties(rng):
+    scores = np.round(rng.normal(size=120), 2)
+    scores[:5] = [0.0, -0.0, 0.0, -0.0, 0.0]
+    for m in range(1, len(scores) + 1):
+        expected = np.argsort(-scores, kind="stable")[:m]
+        assert np.array_equal(oracle._top(scores, m), expected), m
 
 
 class TestOrbitRepresentatives:
