@@ -4,9 +4,9 @@
 (or average distance) over all code pairs of given sizes, pruning by symmetry:
 the first code ranges over orbit representatives, the second is its exact best
 response, read off one sorted column of the pair kernel with every tied choice
-kept.  Float scores select near-optimal candidates, exact rational
-re-evaluation breaks ties, and witnesses are reported as jointly canonicalized
-pairs.
+kept.  The kernel is exact (integer pair weights, or integer distances), so
+ranking is by exact comparison, and witnesses are reported as jointly
+canonicalized pairs.
 
 ``local_search`` scales to larger blocklengths by alternating exact best
 responses: against a fixed partner the best code of a given size is read off
@@ -53,11 +53,10 @@ RHO_CERTIFICATION_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 MAX_EXHAUSTIVE_DIM = 4
 MAX_LOCAL_DIM = 16
 MAX_LOCAL_ROUNDS = 1000
-_SCORE_TOL = 1e-9
 _TIME_BUDGET_S = 600.0
-# Candidate pairs per batched distance count or key pass.  It bounds their
-# memory: exhaustive_extremes(4, 4, 4, 0.0) has 34,580 tied pairs, and its
-# process peaks at 45 MB in blocks against 447 MB in one pass.
+# Candidate pairs per witness key pass.  It bounds the pass's memory:
+# exhaustive_extremes(4, 4, 4, 0.0) has 34,580 tied pairs, and its process
+# peaks at 44 MB in blocks against 446 MB in one pass.
 _BLOCK = 512
 
 
@@ -131,77 +130,53 @@ def _orbit_reps(n: int, m: int) -> list[tuple[int, ...]]:
 
 
 def _weight_table(n: int, rho: float) -> np.ndarray:
-    # Array power, not DsbsInstance.pair_probability: the two differ in the last
-    # bit on some entries, and either swap would change search results.
+    # Local search's float pair weights.  Array power, not pair_probability: the
+    # two differ in the last bit on some entries, which changes search results.
     d = np.arange(n + 1, dtype=np.float64)
     return ((1.0 - rho) / 4.0) ** d * ((1.0 + rho) / 4.0) ** (n - d)
 
 
-def _distance_kernel(n: int) -> np.ndarray:
+def _exact_kernel(n: int, rho: float | None) -> np.ndarray:
+    """The pair kernel over word pairs in exact integers: their distance if rho
+    is None, else (4 den)^n times their weight, (den - num)^d (den + num)^(n - d)
+    at distance d with rho = num/den exactly, as Python ints."""
     words = np.arange(1 << n, dtype=np.int64)
-    return np.bitwise_count(words[:, None] ^ words[None, :]).astype(np.int64)
-
-
-def _distance_counts(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Row i: how many word pairs of codes a[i] x b[i] lie at each distance 0..n."""
-    d = np.bitwise_count(a[:, :, None] ^ b[:, None, :]).reshape(len(a), -1)
-    offsets = (n + 1) * np.arange(len(a))[:, None]
-    return np.bincount((d + offsets).ravel(), minlength=len(a) * (n + 1)).reshape(-1, n + 1)
-
-
-def _blocks(cands):
-    """The candidate pairs as (A words, B words) arrays, _BLOCK pairs at a time."""
-    for i in range(0, len(cands), _BLOCK):
-        a, b = zip(*cands[i : i + _BLOCK])
-        yield np.array(a), np.array(b)
-
-
-def _exact_winners(cands, rho: float, n: int, sign: int):
-    """The candidates with the largest exact sign * q.
-
-    With rho = num/den exactly, (4 den)^n q is the pair's distance counts dotted
-    with the integer weights (den - num)^d (den + num)^(n-d), compared as
-    Python ints.
-    """
+    dists = np.bitwise_count(words[:, None] ^ words[None, :]).astype(np.int64)
+    if rho is None:
+        return dists
     num, den = Fraction(rho).as_integer_ratio()
-    weights = np.array(
-        [(den - num) ** d * (den + num) ** (n - d) for d in range(n + 1)], dtype=object
-    )
-    counts = np.concatenate([_distance_counts(a, b, n) for a, b in _blocks(cands)])
-    values = [sign * v for v in counts.astype(object) @ weights]
-    best = max(values)
-    return [c for c, v in zip(cands, values) if v == best]
+    weights = [(den - num) ** d * (den + num) ** (n - d) for d in range(n + 1)]
+    return np.array(weights, dtype=object)[dists]
 
 
-def _best_responses(reps, kernel, n_second: int, tol: float, sign: int):
-    """Pairs (A, B) within ``tol`` of the extreme of sign * 1_A K 1_B.
+def _best_responses(reps, kernel, n_second: int, sign: int):
+    """Pairs (A, B) attaining the extreme of sign * 1_A K 1_B, compared exactly.
 
     For a representative A the best B of size n_second is the top n_second
     entries of the column sign * kernel[A].sum(0): every entry above the
-    boundary entry, filled up in every possible way from the entries within
-    ``tol`` of it, so float rounding cannot hide an exactly optimal B.  Only
-    representatives whose best score is within ``tol`` of the overall best
-    contribute.
+    boundary entry, filled up in every possible way from the entries equal to
+    it.  Only representatives whose best score is the overall best contribute.
     """
     cols = sign * kernel[np.array(reps)].sum(axis=1)
     top = np.sort(cols, axis=1)[:, ::-1][:, :n_second]
     scores = top.sum(axis=1)
     cands = []
-    for i in np.flatnonzero(scores >= scores.max() - tol):
+    for i in np.flatnonzero(scores == scores.max()):
         edge = top[i, -1]
-        above = np.flatnonzero(cols[i] > edge + tol).tolist()
-        tied = np.flatnonzero(abs(cols[i] - edge) <= tol).tolist()
+        above = np.flatnonzero(cols[i] > edge).tolist()
+        tied = np.flatnonzero(cols[i] == edge).tolist()
         for fill in itertools.combinations(tied, n_second - len(above)):
             cands.append((reps[i], tuple(sorted(above + list(fill)))))
     return cands
 
 
 def _pick_witness(cands, n):
-    """Among exact-optimal candidates, return the smallest joint canonical pair:
-    the largest (key of A, key of B), from one key pass per block of candidates."""
+    """Among the optimal candidates, return the smallest joint canonical pair:
+    the largest (key of A, key of B), from one key pass per _BLOCK candidates."""
     best = (0, 0)
-    for a, b in _blocks(cands):
-        ka, kb = _pair_keys(n, a, b)
+    for i in range(0, len(cands), _BLOCK):
+        a, b = zip(*cands[i : i + _BLOCK])
+        ka, kb = _pair_keys(n, np.array(a), np.array(b))
         best = max(best, *zip(ka.tolist(), kb.tolist()))
     return _key_code(n, best[0]), _key_code(n, best[1])
 
@@ -222,7 +197,7 @@ def exhaustive_extremes(
             f"budget; use local_search for one-sided bounds"
         )
     size = 1 << n
-    if not (1 <= m <= size and 1 <= n_second <= size):
+    if not all(isinstance(k, int) and 1 <= k <= size for k in (m, n_second)):
         raise ParameterRangeError(f"code sizes must be in 1..{size}, got ({m}, {n_second})")
     if objective not in ("collision", "distance"):
         raise ParameterRangeError(f"objective must be collision or distance, got {objective!r}")
@@ -236,22 +211,13 @@ def exhaustive_extremes(
 
     start = time.perf_counter()
     reps = _orbit_reps(n, m)
-    dists = _distance_kernel(n)
-    if objective == "collision":
-        kernel, tol = _weight_table(n, rho)[dists], _SCORE_TOL
-    else:
-        kernel, tol = dists, 0.0
+    kernel = _exact_kernel(n, rho)
 
     def resolve(sign: int):
-        cands = _best_responses(reps, kernel, n_second, tol, sign)
-        if objective == "collision":  # integer distance scores need no re-check
-            cands = _exact_winners(cands, rho, n, sign)
-        pair = _pick_witness(cands, n)
+        pair = _pick_witness(_best_responses(reps, kernel, n_second, sign), n)
         if objective == "collision":
-            value = collision_prob(pair[0], pair[1], rho)
-        else:
-            value = distance_moment(distance_distribution(pair[0], pair[1]), 1)
-        return value, pair
+            return collision_prob(pair[0], pair[1], rho), pair
+        return distance_moment(distance_distribution(pair[0], pair[1]), 1), pair
 
     hi_value, hi_pair = resolve(+1)
     lo_value, lo_pair = resolve(-1)
@@ -354,21 +320,23 @@ def local_search(
       word index), the second code reflected for ``min``;
     * ``iters`` random pairs drawn from ``seed``.
 
-    Ties between starts go to the smallest canonical pair.  Deterministic for a
-    fixed seed.  A start still improving after ``MAX_LOCAL_ROUNDS`` rounds
+    Ties between starts go to the smallest canonical pair at n <=
+    ``MAX_CANONICAL_DIM``; above it, to the smallest sorted word lists, and the
+    witness is reported as found, not canonicalized.  Deterministic for a fixed
+    seed.  A start still improving after ``MAX_LOCAL_ROUNDS`` rounds
     stops there with a ``RuntimeWarning``.
     """
     if not isinstance(n, int) or n < 1 or n > MAX_LOCAL_DIM:
         raise DimensionRangeError(f"local search supports dimensions 1..{MAX_LOCAL_DIM}, got {n}")
     size = 1 << n
-    if not (1 <= m <= size and 1 <= n_second <= size):
+    if not all(isinstance(k, int) and 1 <= k <= size for k in (m, n_second)):
         raise ParameterRangeError(f"code sizes must be in 1..{size}, got ({m}, {n_second})")
     if not -1.0 <= rho <= 1.0:
         raise ParameterRangeError(f"correlation must be in [-1, 1], got {rho}")
     if direction not in ("max", "min"):
         raise ParameterRangeError(f"direction must be max or min, got {direction!r}")
-    if iters < 0:
-        raise ParameterRangeError(f"restart count must be nonnegative, got {iters}")
+    if not isinstance(iters, int) or iters < 0:
+        raise ParameterRangeError(f"restart count must be a nonnegative integer, got {iters}")
 
     start = time.perf_counter()
     rng = np.random.default_rng(seed)

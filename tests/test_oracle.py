@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -128,6 +127,10 @@ class TestExhaustiveCollision:
             exhaustive_extremes(3, 0, 4, 0.5)
         with pytest.raises(ParameterRangeError):
             exhaustive_extremes(3, 4, 4, 1.5)
+        with pytest.raises(ParameterRangeError):
+            exhaustive_extremes(2, 2.0, 2, 0.5)
+        with pytest.raises(ParameterRangeError):
+            exhaustive_extremes(2, 2, 2.0, 0.5)
 
 
 # sha256 of json.dumps([r.to_json_dict() ...], sort_keys=True) over every size
@@ -150,76 +153,85 @@ def test_exhaustive_outputs_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_PANEL_SHA256
 
 
+# sha256 of the same dump over every size pair at n = 4 at rho 0.3.
+EXHAUSTIVE_N4_SHA256 = "ae40d7f895755c953f820390c2be4a470e70999f4c01fbc282b8db8518cf3b44"
+
+
+def test_exhaustive_outputs_at_n4_are_pinned():
+    results = [
+        exhaustive_extremes(4, m, n_second, 0.3).to_json_dict()
+        for m in range(1, 17)
+        for n_second in range(1, 17)
+    ]
+    text = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_N4_SHA256
+
+
+# 0.1 is 3602879701896397 / 2^55; at rho = +-1 one pair weight holds 0^0.
+TIE_BREAK_RHOS = [0.0, 0.1, 0.3, -0.5, 1.0, -1.0]
+
+
+def check_best_responses(n, m, n_second, rho):
+    """_best_responses returns exactly the optimal pairs, each once, against
+    each representative and overall, as ranked by a Fraction reference (rho
+    None: the total distance)."""
+    reps = _orbit_reps(n, m)
+    kernel = oracle._exact_kernel(n, rho)
+    exact = {
+        a: {
+            b: fraction_collision_prob(n, a, b, rho)
+            if rho is not None
+            else sum(bin(x ^ y).count("1") for x in a for y in b)
+            for b in combinations(range(1 << n), n_second)
+        }
+        for a in reps
+    }
+    for sign in (1, -1):
+        for a, own in exact.items():
+            top = max(sign * v for v in own.values())
+            found = oracle._best_responses([a], kernel, n_second, sign)
+            assert sorted(found) == [(a, b) for b, v in own.items() if sign * v == top]
+        best = max(sign * v for own in exact.values() for v in own.values())
+        found = oracle._best_responses(reps, kernel, n_second, sign)
+        optimal = [(a, b) for a, own in exact.items() for b, v in own.items() if sign * v == best]
+        assert sorted(found) == sorted(optimal), (n, m, n_second, rho, sign)
+
+
 class TestBestResponses:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("rho", [0.3, 0.7, None])
+    @pytest.mark.parametrize("rho", [0.3, 0.7, None] + [r for r in TIE_BREAK_RHOS if r != 0.3])
     def test_candidates_cover_every_exact_optimum(self, n, rho):
-        """Every B that is exactly optimal against a representative, and every
-        globally optimal pair, is among the candidates."""
-        size = 1 << n
-        dists = oracle._distance_kernel(n)
-        if rho is None:
-            kernel, tol = dists, 0.0
-            weight = list(range(n + 1))
-        else:
-            kernel, tol = oracle._weight_table(n, rho)[dists], oracle._SCORE_TOL
-            lo, hi = (1 - Fraction(rho)) / 4, (1 + Fraction(rho)) / 4
-            weight = [lo**d * hi ** (n - d) for d in range(n + 1)]
-        for m in range(1, size + 1):
-            reps = _orbit_reps(n, m)
-            for n_second in range(1, size + 1):
-                exact = {
-                    a: {
-                        b: sum(weight[bin(x ^ y).count("1")] for x in a for y in b)
-                        for b in combinations(range(size), n_second)
-                    }
-                    for a in reps
-                }
-                for sign in (1, -1):
-                    for a, own in exact.items():
-                        top = max(sign * v for v in own.values())
-                        found = oracle._best_responses([a], kernel, n_second, tol, sign)
-                        missing = {b for b, v in own.items() if sign * v == top} - {
-                            b for _, b in found
-                        }
-                        assert not missing, (a, n_second, sign, missing)
-                    best = max(sign * v for own in exact.values() for v in own.values())
-                    optimal = {
-                        (a, b) for a, own in exact.items() for b, v in own.items() if sign * v == best
-                    }
-                    found = oracle._best_responses(reps, kernel, n_second, tol, sign)
-                    assert optimal <= set(found), (m, n_second, sign)
-
-
-TIE_BREAK_RHOS = [0.0, 0.1, 0.3, -0.5, 1.0, -1.0]
+        """The candidates are every exact optimum and nothing else, at every
+        size pair."""
+        for m in range(1, (1 << n) + 1):
+            for n_second in range(1, (1 << n) + 1):
+                check_best_responses(n, m, n_second, rho)
 
 
 class TestExactTieBreak:
     @pytest.mark.parametrize("rho", TIE_BREAK_RHOS)
     @pytest.mark.parametrize("sign", [1, -1])
     def test_every_pair_at_n3_matches_fraction_reference(self, rho, sign):
-        """Given every pair of each size as candidates, the integer weights keep
-        exactly the pairs a Fraction evaluation ranks best (0.1 is 3602879701896397
-        / 2^55)."""
+        """The reported witness is the least canonical pair among the pairs a
+        Fraction evaluation of every pair, with no symmetry reduction, ranks
+        best."""
         for m, n_second in ((2, 3), (4, 2)):
             cands = list(product(combinations(range(8), m), combinations(range(8), n_second)))
             exact = [sign * fraction_collision_prob(3, a, b, rho) for a, b in cands]
             top = max(exact)
-            expected = [c for c, v in zip(cands, exact) if v == top]
-            assert oracle._exact_winners(cands, rho, 3, sign) == expected
+            expected = min(
+                tuple(c.words for c in canonical_pair(make_code(3, a), make_code(3, b)))
+                for (a, b), v in zip(cands, exact)
+                if v == top
+            )
+            res = exhaustive_extremes(3, m, n_second, rho)
+            wa, wb = res.witness_max if sign == 1 else res.witness_min
+            assert (wa.words, wb.words) == expected
 
-    @pytest.mark.parametrize("rho", TIE_BREAK_RHOS)
+    @pytest.mark.parametrize("rho", TIE_BREAK_RHOS + [None])
     def test_best_responses_at_n4_match_fraction_reference(self, rho):
-        dists = oracle._distance_kernel(4)
-        kernel = oracle._weight_table(4, rho)[dists]
         for m, n_second in ((2, 3), (5, 2)):
-            reps = _orbit_reps(4, m)
-            for sign in (1, -1):
-                cands = oracle._best_responses(reps, kernel, n_second, oracle._SCORE_TOL, sign)
-                exact = [sign * fraction_collision_prob(4, a, b, rho) for a, b in cands]
-                top = max(exact)
-                expected = [c for c, v in zip(cands, exact) if v == top]
-                assert oracle._exact_winners(cands, rho, 4, sign) == expected
+            check_best_responses(4, m, n_second, rho)
 
 
 class TestWitnessBlocks:
@@ -340,6 +352,12 @@ class TestLocalSearch:
             local_search(3, 4, 4, 0.5, direction="sideways")
         with pytest.raises(ParameterRangeError):
             local_search(3, 4, 4, 0.5, iters=-1)
+        with pytest.raises(ParameterRangeError):
+            local_search(4, 4, 4, 0.5, iters=1.5)
+        with pytest.raises(ParameterRangeError):
+            local_search(4, 4.0, 4, 0.5)
+        with pytest.raises(ParameterRangeError):
+            local_search(4, 4, 4.0, 0.5)
         with pytest.raises(DimensionRangeError):
             local_search(17, 4, 4, 0.5)
 
