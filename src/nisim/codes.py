@@ -283,16 +283,6 @@ def _orbit_keys(n: int, *word_arrays: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _pair_keys(n: int, a_words: np.ndarray, b_words: np.ndarray):
-    """The keys of each row pair's canonical pair: the largest key of
-    ``a_words[i]`` over the group, and the largest key of ``b_words[i]`` under
-    the elements attaining it.  Two arrays of one key per row."""
-    keys = _orbit_keys(n, a_words, b_words)
-    ka, kb = keys[: len(a_words)], keys[len(a_words) :]
-    best = ka.max(axis=1)
-    return best, kb.max(axis=1, where=ka == best[:, None], initial=0)
-
-
 def _key_code(n: int, key) -> BinaryCode:
     """The code of a key: word w is in it when key bit 2^n-1-w is set."""
     shifts = np.arange((1 << n) - 1, -1, -1, dtype=np.uint64)
@@ -316,8 +306,8 @@ def canonical_pair(a: BinaryCode, b: BinaryCode) -> tuple[BinaryCode, BinaryCode
     if a.n != b.n:
         raise DimensionMismatchError(f"pair dimensions differ: {a.n} vs {b.n}")
     _check_canonical_dim(a.n)
-    ka, kb = _pair_keys(a.n, a.word_array()[None], b.word_array()[None])
-    return _key_code(a.n, ka[0]), _key_code(b.n, kb[0])
+    ka, kb = _orbit_keys(a.n, a.word_array()[None], b.word_array()[None])
+    return _key_code(a.n, ka.max()), _key_code(b.n, kb[ka == ka.max()].max())
 
 
 def format_code(code: BinaryCode) -> str:

@@ -3,10 +3,12 @@
 ``exhaustive_extremes`` finds the exact extremes of the agreement probability
 (or average distance) over all code pairs of given sizes, pruning by symmetry:
 the first code ranges over orbit representatives, the second is its exact best
-response, read off one sorted column of the pair kernel with every tied choice
-kept.  The kernel is exact (integer pair weights, or integer distances), so
-ranking is by exact comparison, and witnesses are reported as jointly
-canonicalized pairs.
+response, read off one sorted column of the pair kernel as the words above the
+boundary entry and the words tied with it.  The kernel is exact (integer pair
+weights, or integer distances), so ranking is by exact comparison.  The
+witness is the smallest jointly canonical pair: the first optimal
+representative, and the fill of its tied words that the representative's
+stabilizer moves to the smallest words.
 
 ``local_search`` scales to larger blocklengths by alternating exact best
 responses: against a fixed partner the best code of a given size is read off
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -38,7 +41,6 @@ from .codes import (
     _key_bits,
     _key_code,
     _orbit_keys,
-    _pair_keys,
 )
 from .distance import distance_distribution, distance_moment
 from .errors import (
@@ -54,10 +56,6 @@ MAX_EXHAUSTIVE_DIM = 4
 MAX_LOCAL_DIM = 16
 MAX_LOCAL_ROUNDS = 1000
 _TIME_BUDGET_S = 600.0
-# Candidate pairs per witness key pass.  It bounds the pass's memory:
-# exhaustive_extremes(4, 4, 4, 0.0) has 34,580 tied pairs, and its process
-# peaks at 44 MB in blocks against 446 MB in one pass.
-_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -116,6 +114,11 @@ class OracleResult:
         }
 
 
+def _check_rho(rho) -> None:
+    if not isinstance(rho, numbers.Real) or not -1.0 <= rho <= 1.0:
+        raise ParameterRangeError(f"correlation must be in [-1, 1], got {rho!r}")
+
+
 def _orbit_reps(n: int, m: int) -> list[tuple[int, ...]]:
     """Lexicographically first member of each symmetry orbit of m-subsets of
     the n-cube, in that order: each subset whose key is unseen opens an orbit."""
@@ -150,35 +153,35 @@ def _exact_kernel(n: int, rho: float | None) -> np.ndarray:
 
 
 def _best_responses(reps, kernel, n_second: int, sign: int):
-    """Pairs (A, B) attaining the extreme of sign * 1_A K 1_B, compared exactly.
+    """The first representative A attaining the extreme of sign * 1_A K 1_B,
+    compared exactly, with the words of its column sign * kernel[A].sum(0)
+    above its n_second-th largest entry and the words equal to that entry.
 
-    For a representative A the best B of size n_second is the top n_second
-    entries of the column sign * kernel[A].sum(0): every entry above the
-    boundary entry, filled up in every possible way from the entries equal to
-    it.  Only representatives whose best score is the overall best contribute.
+    The best B against A are exactly the words above filled up with any
+    n_second - len(above) of the tied words.  Representatives come in
+    lexicographic order, so A is the canonical optimal code with the largest key.
     """
     cols = sign * kernel[np.array(reps)].sum(axis=1)
     top = np.sort(cols, axis=1)[:, ::-1][:, :n_second]
     scores = top.sum(axis=1)
-    cands = []
-    for i in np.flatnonzero(scores == scores.max()):
-        edge = top[i, -1]
-        above = np.flatnonzero(cols[i] > edge).tolist()
-        tied = np.flatnonzero(cols[i] == edge).tolist()
-        for fill in itertools.combinations(tied, n_second - len(above)):
-            cands.append((reps[i], tuple(sorted(above + list(fill)))))
-    return cands
+    i = np.flatnonzero(scores == scores.max())[0]
+    edge = top[i, -1]
+    return reps[i], np.flatnonzero(cols[i] > edge), np.flatnonzero(cols[i] == edge)
 
 
-def _pick_witness(cands, n):
-    """Among the optimal candidates, return the smallest joint canonical pair:
-    the largest (key of A, key of B), from one key pass per _BLOCK candidates."""
-    best = (0, 0)
-    for i in range(0, len(cands), _BLOCK):
-        a, b = zip(*cands[i : i + _BLOCK])
-        ka, kb = _pair_keys(n, np.array(a), np.array(b))
-        best = max(best, *zip(ka.tolist(), kb.tolist()))
-    return _key_code(n, best[0]), _key_code(n, best[1])
+def _witness(n: int, a, above: np.ndarray, tied: np.ndarray, n_second: int):
+    """The smallest joint canonical pair (A, B) over every B made of the words
+    ``above`` and n_second - len(above) of the words ``tied``; A is canonical.
+
+    A canonical pair maximizes A's key first, so B moves only under A's
+    stabilizer: the group elements giving A the identity's key (column 0).
+    Under each, the best fill is the tied words with the smallest images (the
+    largest key bits), and the largest key of B over them wins.
+    """
+    keys = _orbit_keys(n, np.array([a]), above[None], tied[:, None])
+    stab = keys[0] == keys[0, 0]
+    fill = np.sort(keys[2:, stab], axis=0)[len(above) + len(tied) - n_second :]
+    return _key_code(n, keys[0, 0]), _key_code(n, (keys[1, stab] + fill.sum(axis=0)).max())
 
 
 def exhaustive_extremes(
@@ -204,8 +207,7 @@ def exhaustive_extremes(
     if objective == "collision":
         if rho is None:
             raise ParameterRangeError("collision objective needs a correlation value")
-        if not -1.0 <= rho <= 1.0:
-            raise ParameterRangeError(f"correlation must be in [-1, 1], got {rho}")
+        _check_rho(rho)
     else:
         rho = None
 
@@ -214,7 +216,7 @@ def exhaustive_extremes(
     kernel = _exact_kernel(n, rho)
 
     def resolve(sign: int):
-        pair = _pick_witness(_best_responses(reps, kernel, n_second, sign), n)
+        pair = _witness(n, *_best_responses(reps, kernel, n_second, sign), n_second)
         if objective == "collision":
             return collision_prob(pair[0], pair[1], rho), pair
         return distance_moment(distance_distribution(pair[0], pair[1]), 1), pair
@@ -331,12 +333,13 @@ def local_search(
     size = 1 << n
     if not all(isinstance(k, int) and 1 <= k <= size for k in (m, n_second)):
         raise ParameterRangeError(f"code sizes must be in 1..{size}, got ({m}, {n_second})")
-    if not -1.0 <= rho <= 1.0:
-        raise ParameterRangeError(f"correlation must be in [-1, 1], got {rho}")
+    _check_rho(rho)
     if direction not in ("max", "min"):
         raise ParameterRangeError(f"direction must be max or min, got {direction!r}")
     if not isinstance(iters, int) or iters < 0:
         raise ParameterRangeError(f"restart count must be a nonnegative integer, got {iters}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ParameterRangeError(f"seed must be a nonnegative integer, got {seed!r}")
 
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -418,8 +421,7 @@ def construction_value(kind: str, n: int, i: int, rho: float) -> float:
     coordinate-wise reflection, giving ((1-rho)/4)^i.  ``hamming-ball-pair``:
     both codes are the radius-i ball around the all-ones word.
     """
-    if not -1.0 <= rho <= 1.0:
-        raise ParameterRangeError(f"correlation must be in [-1, 1], got {rho}")
+    _check_rho(rho)
     if kind == "symmetric-subcube":
         a = subcube(n, i)
         return collision_prob(a, a, rho)

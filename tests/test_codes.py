@@ -298,6 +298,8 @@ class TestSymmetry:
         full = make_code(3, range(8))
         for g in symmetry_group(3):
             assert apply_symmetry(g, full).size == 8
+            for w in range(8):
+                assert apply_symmetry(g, make_code(3, [w])).words == (g.apply(w),)
 
     def test_distance_distribution_invariant_under_joint_action(self, rng):
         group = symmetry_group(4)

@@ -107,13 +107,15 @@ class TestExhaustiveCollision:
             assert 1 + sum(counts) == total
 
     def test_every_pair_tied_at_zero_correlation(self):
-        # At rho = 0 every pair of sizes (4, 4) ties, so all 34,580 candidates
-        # go through the exact tie-break and the blocked witness pass.
-        res = exhaustive_extremes(4, 4, 4, 0.0)
-        assert res.max_q == res.min_q == 0.0625
-        for pair in (res.witness_max, res.witness_min):
-            assert (pair[0].words, pair[1].words) == ((0, 1, 2, 3), (0, 1, 2, 3))
-        assert (res.pairs_evaluated, res.orbits_enumerated) == (34580, 19)
+        # At rho = 0 every pair of sizes (m, m) ties at q = (m / 16)^2: every
+        # word of every column is tied, and the witness is the fill that the
+        # first representative's stabilizer moves to the smallest words.
+        for m, q, pairs, orbits in ((4, 0.0625, 34580, 19), (8, 0.25, 952380, 74)):
+            res = exhaustive_extremes(4, m, m, 0.0)
+            assert res.max_q == res.min_q == q
+            for pair in (res.witness_max, res.witness_min):
+                assert (pair[0].words, pair[1].words) == (tuple(range(m)), tuple(range(m)))
+            assert (res.pairs_evaluated, res.orbits_enumerated) == (pairs, orbits)
 
     def test_budget_refusal_is_immediate(self):
         with pytest.raises(SearchBudgetError) as err:
@@ -131,6 +133,8 @@ class TestExhaustiveCollision:
             exhaustive_extremes(2, 2.0, 2, 0.5)
         with pytest.raises(ParameterRangeError):
             exhaustive_extremes(2, 2, 2.0, 0.5)
+        with pytest.raises(ParameterRangeError):
+            exhaustive_extremes(2, 2, 2, "0.5")
 
 
 # sha256 of json.dumps([r.to_json_dict() ...], sort_keys=True) over every size
@@ -153,28 +157,45 @@ def test_exhaustive_outputs_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_PANEL_SHA256
 
 
-# sha256 of the same dump over every size pair at n = 4 at rho 0.3.
-EXHAUSTIVE_N4_SHA256 = "ae40d7f895755c953f820390c2be4a470e70999f4c01fbc282b8db8518cf3b44"
+# sha256 of the same dump over every size pair at n = 4, at rho 0.3, at rho 0
+# (where every pair ties) and for the distance objective (rho None).
+EXHAUSTIVE_N4_SHA256 = {
+    0.3: "ae40d7f895755c953f820390c2be4a470e70999f4c01fbc282b8db8518cf3b44",
+    0.0: "58e8cab8be450dd7844ac31745afc650fa836faf13c2b7e372142997cbd79b2d",
+    None: "8c10c66681190895e17516f29f502ad76b9f5dae0d68ab2cff15fd0e33973651",
+}
 
 
-def test_exhaustive_outputs_at_n4_are_pinned():
+@pytest.mark.parametrize("rho", list(EXHAUSTIVE_N4_SHA256))
+def test_exhaustive_outputs_at_n4_are_pinned(rho):
+    objective = "collision" if rho is not None else "distance"
     results = [
-        exhaustive_extremes(4, m, n_second, 0.3).to_json_dict()
+        exhaustive_extremes(4, m, n_second, rho, objective).to_json_dict()
         for m in range(1, 17)
         for n_second in range(1, 17)
     ]
     text = json.dumps(results, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_N4_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_N4_SHA256[rho]
 
 
 # 0.1 is 3602879701896397 / 2^55; at rho = +-1 one pair weight holds 0^0.
 TIE_BREAK_RHOS = [0.0, 0.1, 0.3, -0.5, 1.0, -1.0]
 
 
+def fills(above, tied, n_second):
+    """Every second code made of the words above and the rest from the tied."""
+    above = above.tolist()
+    return [
+        tuple(sorted(above + list(fill)))
+        for fill in combinations(tied.tolist(), n_second - len(above))
+    ]
+
+
 def check_best_responses(n, m, n_second, rho):
-    """_best_responses returns exactly the optimal pairs, each once, against
-    each representative and overall, as ranked by a Fraction reference (rho
-    None: the total distance)."""
+    """Against each representative, _best_responses' (above, tied) expand to
+    exactly the optimal second codes, each once; overall it returns the first
+    representative holding an optimal pair.  Optimal as ranked by a Fraction
+    reference (rho None: the total distance)."""
     reps = _orbit_reps(n, m)
     kernel = oracle._exact_kernel(n, rho)
     exact = {
@@ -189,20 +210,23 @@ def check_best_responses(n, m, n_second, rho):
     for sign in (1, -1):
         for a, own in exact.items():
             top = max(sign * v for v in own.values())
-            found = oracle._best_responses([a], kernel, n_second, sign)
-            assert sorted(found) == [(a, b) for b, v in own.items() if sign * v == top]
+            found, above, tied = oracle._best_responses([a], kernel, n_second, sign)
+            assert found == a
+            assert sorted(fills(above, tied, n_second)) == [
+                b for b, v in own.items() if sign * v == top
+            ]
         best = max(sign * v for own in exact.values() for v in own.values())
-        found = oracle._best_responses(reps, kernel, n_second, sign)
-        optimal = [(a, b) for a, own in exact.items() for b, v in own.items() if sign * v == best]
-        assert sorted(found) == sorted(optimal), (n, m, n_second, rho, sign)
+        first = next(a for a, own in exact.items() if max(sign * v for v in own.values()) == best)
+        found = oracle._best_responses(reps, kernel, n_second, sign)[0]
+        assert found == first, (n, m, n_second, rho, sign)
 
 
 class TestBestResponses:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("rho", [0.3, 0.7, None] + [r for r in TIE_BREAK_RHOS if r != 0.3])
     def test_candidates_cover_every_exact_optimum(self, n, rho):
-        """The candidates are every exact optimum and nothing else, at every
-        size pair."""
+        """The best responses are every exact optimum and nothing else, at
+        every size pair."""
         for m in range(1, (1 << n) + 1):
             for n_second in range(1, (1 << n) + 1):
                 check_best_responses(n, m, n_second, rho)
@@ -234,18 +258,25 @@ class TestExactTieBreak:
             check_best_responses(4, m, n_second, rho)
 
 
-class TestWitnessBlocks:
-    @pytest.mark.parametrize("count", [1, oracle._BLOCK, oracle._BLOCK + 1, 3 * oracle._BLOCK - 7])
-    def test_blocked_witness_is_least_canonical_pair(self, rng, count):
-        cands = [
-            (tuple(sorted(rng.choice(16, 3, replace=False).tolist())),
-             tuple(sorted(rng.choice(16, 5, replace=False).tolist())))
-            for _ in range(count)
-        ]
-        pairs = [canonical_pair(make_code(4, a), make_code(4, b)) for a, b in cands]
-        expected = min((ca.words, cb.words) for ca, cb in pairs)
-        wa, wb = oracle._pick_witness(cands, 4)
-        assert (wa.words, wb.words) == expected
+class TestStabilizerWitness:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_witness_is_least_canonical_pair_over_fills(self, seed):
+        """_witness is the least canonical_pair over every fill, for random
+        canonical A and disjoint above and tied words; at even seeds nothing
+        is above, so every word of B is tied."""
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            reps = _orbit_reps(4, int(rng.integers(1, 17)))
+            a = reps[rng.integers(len(reps))]
+            words = rng.permutation(16)
+            n_tied = int(rng.integers(1, 9))
+            n_above = int(rng.integers(0, 17 - n_tied)) if seed % 2 else 0
+            above, tied = np.sort(words[:n_above]), np.sort(words[n_above : n_above + n_tied])
+            n_second = n_above + int(rng.integers(0 if n_above else 1, n_tied + 1))
+            pairs = [canonical_pair(make_code(4, a), make_code(4, b))
+                     for b in fills(above, tied, n_second)]
+            wa, wb = oracle._witness(4, a, above, tied, n_second)
+            assert (wa.words, wb.words) == min((ca.words, cb.words) for ca, cb in pairs)
 
 
 def test_top_equals_stable_argsort_on_ties(rng):
@@ -358,6 +389,11 @@ class TestLocalSearch:
             local_search(4, 4.0, 4, 0.5)
         with pytest.raises(ParameterRangeError):
             local_search(4, 4, 4.0, 0.5)
+        for seed in (1.5, -1):
+            with pytest.raises(ParameterRangeError):
+                local_search(4, 4, 4, 0.5, seed=seed)
+        with pytest.raises(ParameterRangeError):
+            local_search(4, 4, 4, "0.5")
         with pytest.raises(DimensionRangeError):
             local_search(17, 4, 4, 0.5)
 
