@@ -47,9 +47,10 @@ from .errors import (
     DimensionRangeError,
     ParameterRangeError,
     SearchBudgetError,
+    as_integer,
 )
 from .fourier import fwht
-from .model import collision_prob
+from .model import DsbsInstance, collision_prob
 
 RHO_CERTIFICATION_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 MAX_EXHAUSTIVE_DIM = 4
@@ -115,7 +116,7 @@ class OracleResult:
 
 
 def _check_rho(rho) -> None:
-    if not isinstance(rho, numbers.Real) or not -1.0 <= rho <= 1.0:
+    if isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not -1.0 <= rho <= 1.0:
         raise ParameterRangeError(f"correlation must be in [-1, 1], got {rho!r}")
 
 
@@ -130,13 +131,6 @@ def _orbit_reps(n: int, m: int) -> list[tuple[int, ...]]:
         reps.append(combo)
         seen.update(_orbit_keys(n, np.array([combo]))[0].tolist())
     return reps
-
-
-def _weight_table(n: int, rho: float) -> np.ndarray:
-    # Local search's float pair weights.  Array power, not pair_probability: the
-    # two differ in the last bit on some entries, which changes search results.
-    d = np.arange(n + 1, dtype=np.float64)
-    return ((1.0 - rho) / 4.0) ** d * ((1.0 + rho) / 4.0) ** (n - d)
 
 
 def _exact_kernel(n: int, rho: float | None) -> np.ndarray:
@@ -192,16 +186,14 @@ def exhaustive_extremes(
     Refuses dimensions above 4 (the search space past that exceeds the time
     budget by orders of magnitude; use :func:`local_search` instead).
     """
-    if not isinstance(n, int) or n < 1:
-        raise DimensionRangeError(f"dimension must be a positive integer, got {n}")
+    n = as_integer("n", n, 1, error=DimensionRangeError)
     if n > MAX_EXHAUSTIVE_DIM:
         raise SearchBudgetError(
             f"exhaustive search at dimension {n} would exceed the {_TIME_BUDGET_S:.0f}s "
             f"budget; use local_search for one-sided bounds"
         )
     size = 1 << n
-    if not all(isinstance(k, int) and 1 <= k <= size for k in (m, n_second)):
-        raise ParameterRangeError(f"code sizes must be in 1..{size}, got ({m}, {n_second})")
+    m, n_second = as_integer("m", m, 1, size), as_integer("n_second", n_second, 1, size)
     if objective not in ("collision", "distance"):
         raise ParameterRangeError(f"objective must be collision or distance, got {objective!r}")
     if objective == "collision":
@@ -248,24 +240,6 @@ def exhaustive_distance_extremes(n: int, m: int, n_second: int) -> OracleResult:
     return exhaustive_extremes(n, m, n_second, None, objective="distance")
 
 
-def _radix2(values: np.ndarray) -> np.ndarray:
-    """The Walsh transform by n radix-2 passes, for local search's float inputs.
-
-    ``fwht`` sums in blocks of up to 5 bits, which rounds float input differently;
-    keeping this order keeps local-search scores, and so its witnesses, as
-    they were.
-    """
-    arr = np.array(values, dtype=np.float64, copy=True)
-    h = 1
-    while h < arr.shape[0]:
-        view = arr.reshape(-1, 2 * h)
-        left = view[:, :h].copy()
-        view[:, :h] = left + view[:, h:]
-        view[:, h:] = left - view[:, h:]
-        h *= 2
-    return arr
-
-
 def _top(scores: np.ndarray, m: int) -> np.ndarray:
     """Indices of the m largest scores, largest first and ties by index, as
     np.argsort(-scores, kind="stable")[:m], sorting only the entries at or
@@ -279,17 +253,19 @@ def _alternate(g_hat: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Give A and B in turn their exact best response until one changes nothing.
 
     ``g_hat`` is sign / 2^n times the transform of the pair weight by word
-    weight, so _radix2(fwht(1_B) * g_hat) is sign * K 1_B, and the best A of
-    size m is its top m entries (ties by word index).  A side changes only when its
-    response beats it by more than 1e-15, so each round raises sign * q and a
-    fixed point is single-swap optimal.  Returns (a, b, sign * q, rounds,
+    weight, so fwht(fwht(1_B) * g_hat) is sign * K 1_B, the score of every word
+    against B, and the best A of size m is its top m entries (ties by word
+    index); likewise for B against A.  The scores are floats, so which of two
+    nearly equal words wins depends on fwht's rounding.  A side changes only
+    when its response beats it by more than 1e-15, so each round raises sign * q
+    and a fixed point is single-swap optimal.  Returns (a, b, sign * q, rounds,
     converged).
     """
     sides, side, rounds = [a, b], 0, 0
     for step in itertools.count():
         other = np.zeros(g_hat.shape[0])
         other[sides[1 - side]] = 1.0
-        scores = _radix2(fwht(other) * g_hat)
+        scores = fwht(fwht(other) * g_hat)
         current = float(scores[sides[side]].sum())
         top = _top(scores, sides[side].shape[0])
         if float(scores[top].sum()) > current + 1e-15:
@@ -312,46 +288,55 @@ def local_search(
 ) -> OracleResult:
     """Seeded alternating best response over code pairs; returns a one-sided bound.
 
-    The reported value is attained by the witness, so it bounds the true
-    extreme from one side only.  Starts, each improved until neither code's
-    exact best response changes it:
+    Starts, each improved until neither code's exact best response changes it:
 
     * the subcube pair (antisubcube for ``min``) when both sizes are powers of
-      two, so the result is never worse than that construction;
+      two;
     * the Hamming-ball pair: the m and n_second lowest-weight words (ties by
       word index), the second code reflected for ``min``;
     * ``iters`` random pairs drawn from ``seed``.
 
-    Ties between starts go to the smallest canonical pair at n <=
-    ``MAX_CANONICAL_DIM``; above it, to the smallest sorted word lists, and the
-    witness is reported as found, not canonicalized.  Deterministic for a fixed
-    seed.  A start still improving after ``MAX_LOCAL_ROUNDS`` rounds
-    stops there with a ``RuntimeWarning``.
+    The result keeps this contract:
+
+    * the reported value is attained by the witness, so it bounds the true
+      extreme from one side only;
+    * the witness is single-swap optimal: replacing one word of either code
+      does not improve it;
+    * it is no worse than the subcube and Hamming-ball starts, and never better
+      than the exhaustive optimum;
+    * it is deterministic for a fixed seed on a given numpy/BLAS build.
+
+    Which of several fixed points a start reaches depends on the float rounding
+    of its scores (``fwht`` of the pair weight ``DsbsInstance.pair_probability``)
+    and is not part of the contract.  Ties between starts go to the smallest
+    canonical pair at n <= ``MAX_CANONICAL_DIM``; above it, to the smallest
+    sorted word lists, and the witness is reported as found, not
+    canonicalized.  A start still improving after ``MAX_LOCAL_ROUNDS`` rounds
+    stops there, possibly short of single-swap optimality, with a
+    ``RuntimeWarning``.
     """
-    if not isinstance(n, int) or n < 1 or n > MAX_LOCAL_DIM:
-        raise DimensionRangeError(f"local search supports dimensions 1..{MAX_LOCAL_DIM}, got {n}")
+    n = as_integer("n", n, 1, MAX_LOCAL_DIM, DimensionRangeError)
     size = 1 << n
-    if not all(isinstance(k, int) and 1 <= k <= size for k in (m, n_second)):
-        raise ParameterRangeError(f"code sizes must be in 1..{size}, got ({m}, {n_second})")
+    m, n_second = as_integer("m", m, 1, size), as_integer("n_second", n_second, 1, size)
     _check_rho(rho)
     if direction not in ("max", "min"):
         raise ParameterRangeError(f"direction must be max or min, got {direction!r}")
-    if not isinstance(iters, int) or iters < 0:
-        raise ParameterRangeError(f"restart count must be a nonnegative integer, got {iters}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ParameterRangeError(f"seed must be a nonnegative integer, got {seed!r}")
+    iters, seed = as_integer("iters", iters, 0), as_integer("seed", seed, 0)
 
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     sign = 1.0 if direction == "max" else -1.0
-    g_hat = _radix2(_weight_table(n, rho)[np.bitwise_count(np.arange(size))]) * (sign / size)
+    inst = DsbsInstance(rho, n)
+    weight = np.bitwise_count(np.arange(size))
+    pair_weight = np.array([inst.pair_probability(d) for d in range(n + 1)])
+    g_hat = fwht(pair_weight[weight]) * (sign / size)
     starts = []
     if m & (m - 1) == 0 and n_second & (n_second - 1) == 0:
         pin_a = n - m.bit_length() + 1
         pin_b = n - n_second.bit_length() + 1
         b0 = subcube(n, pin_b) if direction == "max" else star(subcube(n, pin_b))
         starts.append(("subcube", subcube(n, pin_a).word_array(), b0.word_array()))
-    by_weight = np.argsort(np.bitwise_count(np.arange(size)), kind="stable")
+    by_weight = np.argsort(weight, kind="stable")
     reflect = 0 if direction == "max" else size - 1
     starts.append(("hamming-ball", by_weight[:m], by_weight[:n_second] ^ reflect))
     for i in range(iters):

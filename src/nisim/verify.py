@@ -28,7 +28,7 @@ from .codes import (
     complement,
     make_code,
 )
-from .errors import ParameterRangeError
+from .errors import ParameterRangeError, as_integer
 from .distance import (
     DistanceDistribution,
     _poly_eval,
@@ -335,15 +335,10 @@ def run_verify(
     ``fault`` injects a synthetic error into the named family's first check,
     for exercising the failure path end to end.
     """
-    if trials < 1:
-        raise ParameterRangeError(f"trials must be at least 1, got {trials}")
+    trials = as_integer("trials", trials, 1)
+    dims = tuple(as_integer("dims entry", n, 1, MAX_TRANSFORM_DIM) for n in dims)
     if not dims:
         raise ParameterRangeError("dims must name at least one dimension")
-    for n in dims:
-        if n < 1 or n > MAX_TRANSFORM_DIM:
-            raise ParameterRangeError(
-                f"dimension {n} outside 1..{MAX_TRANSFORM_DIM}"
-            )
     if fault is not None and fault not in FAMILY_NAMES:
         raise ParameterRangeError(f"unknown family {fault!r}")
     rng = np.random.default_rng(seed)
@@ -362,4 +357,4 @@ def run_verify(
                     int(rng.integers(0, size)),
                 )
             _run_families(_Lab(a, b, sym), collector)
-    return VerifyReport(seed, trials, tuple(dims), collector.results())
+    return VerifyReport(seed, trials, dims, collector.results())

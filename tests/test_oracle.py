@@ -135,6 +135,16 @@ class TestExhaustiveCollision:
             exhaustive_extremes(2, 2, 2.0, 0.5)
         with pytest.raises(ParameterRangeError):
             exhaustive_extremes(2, 2, 2, "0.5")
+        with pytest.raises(DimensionRangeError):
+            exhaustive_extremes(True, 1, 1, 0.5)
+        for args in ((2, True, 2, 0.5), (2, 2, True, 0.5), (2, 2, 2, True)):
+            with pytest.raises(ParameterRangeError):
+                exhaustive_extremes(*args)
+
+    def test_numpy_integer_sizes_run(self):
+        res = exhaustive_extremes(np.int64(2), np.int64(2), np.uint8(3), 0.5)
+        text = json.dumps(res.to_json_dict(), sort_keys=True)
+        assert text == json.dumps(exhaustive_extremes(2, 2, 3, 0.5).to_json_dict(), sort_keys=True)
 
 
 # sha256 of json.dumps([r.to_json_dict() ...], sort_keys=True) over every size
@@ -396,6 +406,48 @@ class TestLocalSearch:
             local_search(4, 4, 4, "0.5")
         with pytest.raises(DimensionRangeError):
             local_search(17, 4, 4, 0.5)
+        with pytest.raises(DimensionRangeError):
+            local_search(True, 1, 1, 0.5)
+        for args, kwargs in (
+            ((3, True, 4, 0.5), {}),
+            ((3, 4, True, 0.5), {}),
+            ((3, 4, 4, True), {}),
+            ((3, 4, 4, 0.5), {"iters": True}),
+            ((3, 4, 4, 0.5), {"seed": True}),
+        ):
+            with pytest.raises(ParameterRangeError):
+                local_search(*args, **kwargs)
+
+    def test_numpy_integer_arguments_run(self):
+        res = local_search(
+            np.int64(3), np.int64(4), np.uint8(4), 0.5, seed=np.int64(2), iters=np.int32(1)
+        )
+        text = json.dumps(res.to_json_dict(), sort_keys=True)
+        want = local_search(3, 4, 4, 0.5, seed=2, iters=1).to_json_dict()
+        assert text == json.dumps(want, sort_keys=True)
+
+    @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 0.1, 0.8, 1.0])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_alternation_scores_match_exact_arithmetic(self, monkeypatch, n, rho):
+        # Every score _alternate returns is sign * q of the pair it returns; at
+        # rho = +-1 one cell mass is 0 and the weight needs 0^0 = 1.
+        returned = []
+
+        def spy(*args):
+            returned.append(alternate(*args))
+            return returned[-1]
+
+        alternate = oracle._alternate
+        monkeypatch.setattr(oracle, "_alternate", spy)
+        size = 1 << n
+        for m, m2 in ((size // 4, size // 4), (3, size // 2 + 1)):
+            for direction, sign in (("max", 1), ("min", -1)):
+                returned.clear()
+                local_search(n, m, m2, rho, direction=direction, seed=n, iters=2)
+                assert returned
+                for a, b, score, _, _ in returned:
+                    want = sign * fraction_collision_prob(n, a.tolist(), b.tolist(), rho)
+                    assert abs(score - want) <= 1e-12, (m, m2, direction, score, float(want))
 
     def test_zero_iters_returns_construction_start(self):
         res = local_search(3, 4, 4, 0.5, direction="max", seed=0, iters=0)

@@ -1,5 +1,6 @@
 """Randomized self-check harness: determinism, coverage, fault injection."""
 
+import numpy as np
 import pytest
 
 import nisim.verify
@@ -49,6 +50,19 @@ class TestRunVerify:
             run_verify(dims=())
         with pytest.raises(ParameterRangeError):
             run_verify(fault="no-such-family")
+        for kwargs in (
+            {"trials": 1.5, "dims": (4,)},
+            {"trials": True, "dims": (4,)},
+            {"trials": 1, "dims": (4.0,)},
+            {"trials": 1, "dims": (True,)},
+            {"trials": 1, "dims": (0,)},
+        ):
+            with pytest.raises(ParameterRangeError):
+                run_verify(**kwargs)
+
+    def test_numpy_integer_arguments_run(self):
+        report = run_verify(seed=3, trials=np.int64(2), dims=(np.int64(4), np.uint8(5)))
+        assert report.to_text() == run_verify(seed=3, trials=2, dims=(4, 5)).to_text()
 
 
 class TestFaultInjection:
