@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distance import _golden_min
-from .errors import ConvergenceError, NumericalConsistencyError, ParameterRangeError
+from .errors import ConvergenceError, NumericalConsistencyError, ParameterRangeError, as_real
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ def normalize_instance(a: float, b: float, rho: float) -> tuple[float, float, fl
     """
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ParameterRangeError(f"densities must be in [0, 1], got ({a}, {b})")
-    if not -1.0 <= rho <= 1.0:
-        raise ParameterRangeError(f"correlation must be in [-1, 1], got {rho}")
+    rho = as_real("correlation", rho, -1.0, 1.0)
     steps: list[str] = []
     alpha, beta = 1.0, 0.0
 
@@ -92,15 +91,6 @@ class Theorem1Bounds(NamedTuple):
     upsilon2_ub: float
 
 
-def _check_normalized(a: float, b: float, rho: float) -> None:
-    if not (0.0 <= a <= b <= 0.5):
-        raise ParameterRangeError(
-            f"expected a normalized instance with a <= b <= 1/2, got ({a}, {b})"
-        )
-    if not 0.0 <= rho <= 1.0:
-        raise ParameterRangeError(f"normalized correlation must be in [0, 1], got {rho}")
-
-
 def theta_plus(t: float, rho: float) -> float:
     """Upper envelope t^2 + (t/2) rho + (t/2 - t^2) rho^2 for density t."""
     return t * t + 0.5 * t * rho + (0.5 * t - t * t) * rho * rho
@@ -117,7 +107,11 @@ def theorem1_bounds(a: float, b: float, rho: float) -> Theorem1Bounds:
     Two lower and two upper bounds; neither member of a pair dominates the
     other across the whole parameter range, so callers should intersect them.
     """
-    _check_normalized(a, b, rho)
+    if not (0.0 <= a <= b <= 0.5):
+        raise ParameterRangeError(
+            f"expected a normalized instance with a <= b <= 1/2, got ({a}, {b})"
+        )
+    rho = as_real("normalized correlation", rho, 0.0, 1.0)
     ab = a * b
     root_ab = math.sqrt(ab)
     cross = math.sqrt(a * (1.0 - a) * b * (1.0 - b))
@@ -133,8 +127,7 @@ def symmetric_bounds(a: float, rho: float) -> tuple[float, float]:
     """Two-sided envelope for equal densities: (lower, upper)."""
     if not 0.0 < a <= 0.5:
         raise ParameterRangeError(f"density must be in (0, 1/2], got {a}")
-    if not 0.0 <= rho <= 1.0:
-        raise ParameterRangeError(f"normalized correlation must be in [0, 1], got {rho}")
+    rho = as_real("normalized correlation", rho, 0.0, 1.0)
     return theta_minus(a, rho), theta_plus(a, rho)
 
 
@@ -143,8 +136,7 @@ def maximal_correlation_bounds(a: float, b: float, rho: float) -> tuple[float, f
     trivial range [0, min(a, b)]."""
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ParameterRangeError(f"densities must be in [0, 1], got ({a}, {b})")
-    if not 0.0 <= rho <= 1.0:
-        raise ParameterRangeError(f"normalized correlation must be in [0, 1], got {rho}")
+    rho = as_real("normalized correlation", rho, 0.0, 1.0)
     dev = math.sqrt(a * (1.0 - a) * b * (1.0 - b)) * rho
     cap = min(a, b)
     lb = min(cap, max(0.0, a * b - dev))
@@ -405,8 +397,7 @@ def hc_bounds(a: float, b: float, rho: float) -> tuple[float, float]:
     """
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
         raise ParameterRangeError(f"densities must be in (0, 1), got ({a}, {b})")
-    if not 0.0 <= rho <= 1.0:
-        raise ParameterRangeError(f"normalized correlation must be in [0, 1], got {rho}")
+    rho = as_real("normalized correlation", rho, 0.0, 1.0)
     if rho == 0.0:
         return a * b, a * b
     if rho == 1.0:
@@ -481,6 +472,7 @@ def combined_report(a: float, b: float, rho: float) -> BoundsReport:
     The de-normalization uses only the affine record from normalization; no
     family formula is re-derived in original coordinates.
     """
+    rho = as_real("correlation", rho, -1.0, 1.0)
     na, nb, nrho, record = normalize_instance(a, b, rho)
     notes: list[str] = []
     if na == 0.0:

@@ -29,6 +29,7 @@ from .errors import (
     FormatError,
     ParameterRangeError,
     WordRangeError,
+    as_integer,
 )
 
 MAX_DIM = 64
@@ -44,7 +45,7 @@ class BinaryCode:
     """
 
     def __init__(self, n: int, words):
-        _check_dim(n)
+        n = as_integer("dimension", n, 1, MAX_DIM, DimensionRangeError)
         if len(words) == 0:
             raise EmptyCodeError("a code needs at least one word")
         # Three C-level passes accept a valid code; the loop below names the
@@ -118,16 +119,11 @@ def _code(n: int, array: np.ndarray) -> BinaryCode:
     return code
 
 
-def _check_dim(n) -> None:
-    if not isinstance(n, int) or n < 1 or n > MAX_DIM:
-        raise DimensionRangeError(f"dimension must be in 1..{MAX_DIM}, got {n}")
-
-
 def make_code(n: int, words) -> BinaryCode:
     """Build a code from an iterable of words, each coerced with ``int``, sorted
     and deduplicated.  Words past int64, non-integer arrays and faults go word by
     word through ``BinaryCode``'s check, which names the first fault."""
-    _check_dim(n)
+    n = as_integer("dimension", n, 1, MAX_DIM, DimensionRangeError)
     if not isinstance(words, (list, tuple, np.ndarray)):
         words = list(words)
     try:
@@ -167,22 +163,16 @@ def star(code: BinaryCode) -> BinaryCode:
 
 def subcube(n: int, k: int) -> BinaryCode:
     """The 2^(n-k) words whose first k coordinates are all 1."""
-    _check_dim(n)
-    if not isinstance(k, int) or k < 0 or k > n:
-        raise ParameterRangeError(f"pinned-coordinate count must be in 0..{n}, got {k}")
+    n = as_integer("dimension", n, 1, MAX_DIM, DimensionRangeError)
+    k = as_integer("pinned-coordinate count", k, 0, n)
     return _code(n, np.arange(1 << (n - k), dtype=np.uint64) << k | (1 << k) - 1)
 
 
 def hamming_ball(n: int, center: int, radius: int) -> BinaryCode:
     """All words within the given Hamming distance of the center word."""
-    if not isinstance(n, int) or n < 1 or n > MAX_TRANSFORM_DIM:
-        raise DimensionRangeError(
-            f"dimension must be in 1..{MAX_TRANSFORM_DIM} for ball enumeration, got {n}"
-        )
-    if center < 0 or center >= (1 << n):
-        raise WordRangeError(f"center {center} out of range for dimension {n}")
-    if radius < 0 or radius > n:
-        raise ParameterRangeError(f"radius must be in 0..{n}, got {radius}")
+    n = as_integer("ball dimension", n, 1, MAX_TRANSFORM_DIM, DimensionRangeError)
+    center = as_integer("center", center, 0, (1 << n) - 1, WordRangeError)
+    radius = as_integer("radius", radius, 0, n)
     dist = np.bitwise_count(np.arange(1 << n, dtype=np.int64) ^ center)
     return _code(n, np.flatnonzero(dist <= radius).view(np.uint64))
 
@@ -199,13 +189,13 @@ class CubeSymmetry:
     flips: int
 
     def __post_init__(self):
-        n = len(self.perm)
-        if n < 1 or n > MAX_DIM:
-            raise DimensionRangeError(f"permutation length must be in 1..{MAX_DIM}")
-        if sorted(self.perm) != list(range(n)):
+        n = as_integer("permutation length", len(self.perm), 1, MAX_DIM, DimensionRangeError)
+        perm = tuple(as_integer("permutation entry", p, 0, n - 1) for p in self.perm)
+        if sorted(perm) != list(range(n)):
             raise ParameterRangeError(f"{self.perm} is not a permutation of 0..{n - 1}")
-        if self.flips < 0 or self.flips >= (1 << n):
-            raise WordRangeError(f"flip mask {self.flips} out of range for dimension {n}")
+        flips = as_integer("flip mask", self.flips, 0, (1 << n) - 1, WordRangeError)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "flips", flips)
 
     @property
     def n(self) -> int:
@@ -228,15 +218,7 @@ def apply_symmetry(g: CubeSymmetry, code: BinaryCode) -> BinaryCode:
 
 def symmetry_group(n: int) -> tuple[CubeSymmetry, ...]:
     """Every coordinate-permutation-and-flip symmetry, n! * 2^n elements."""
-    _check_canonical_dim(n)
-    return _group_elements(n)
-
-
-def _check_canonical_dim(n: int) -> None:
-    if not isinstance(n, int) or n < 1 or n > MAX_CANONICAL_DIM:
-        raise DimensionRangeError(
-            f"group enumeration supports dimensions 1..{MAX_CANONICAL_DIM}, got {n}"
-        )
+    return _group_elements(as_integer("dimension", n, 1, MAX_CANONICAL_DIM, DimensionRangeError))
 
 
 @functools.lru_cache(maxsize=None)
@@ -292,7 +274,7 @@ def _key_code(n: int, key) -> BinaryCode:
 def canonical_form(code: BinaryCode) -> BinaryCode:
     """Lexicographically smallest sorted word list over the code's orbit: the
     code of the orbit's largest key (bit 2^n-1-w set for each word w)."""
-    _check_canonical_dim(code.n)
+    as_integer("dimension", code.n, 1, MAX_CANONICAL_DIM, DimensionRangeError)
     return _key_code(code.n, _orbit_keys(code.n, code.word_array()[None]).max())
 
 
@@ -305,7 +287,7 @@ def canonical_pair(a: BinaryCode, b: BinaryCode) -> tuple[BinaryCode, BinaryCode
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"pair dimensions differ: {a.n} vs {b.n}")
-    _check_canonical_dim(a.n)
+    as_integer("dimension", a.n, 1, MAX_CANONICAL_DIM, DimensionRangeError)
     ka, kb = _orbit_keys(a.n, a.word_array()[None], b.word_array()[None])
     return _key_code(a.n, ka.max()), _key_code(b.n, kb[ka == ka.max()].max())
 
@@ -328,7 +310,7 @@ def parse_code(text: str) -> BinaryCode:
         n = int(lines[0][2:])
     except ValueError as exc:
         raise FormatError(f"bad dimension in header: {lines[0]!r}") from exc
-    _check_dim(n)
+    n = as_integer("dimension", n, 1, MAX_DIM, DimensionRangeError)
     words = []
     for ln in lines[1:]:
         if len(ln) != n:

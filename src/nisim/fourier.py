@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import MAX_TRANSFORM_DIM, BinaryCode
-from .errors import DimensionMismatchError, DimensionRangeError, ParameterRangeError
+from .errors import DimensionMismatchError, DimensionRangeError, ParameterRangeError, as_real
 
 
 # Each pass of fwht transforms up to 5 index bits with one product against a
@@ -139,8 +139,7 @@ def level_sums(f: FourierSpectrum, g: FourierSpectrum) -> LevelSums:
 def theta_from_levels(levels: LevelSums, rho: float) -> float:
     """Covariance term of the agreement probability: one quarter of the
     rho-weighted level sums above level zero."""
-    if not -1.0 <= rho <= 1.0:
-        raise ParameterRangeError(f"correlation must be in [-1, 1], got {rho}")
+    rho = as_real("correlation", rho, -1.0, 1.0)
     total = 0.0
     power = 1.0
     for k in range(1, levels.n + 1):

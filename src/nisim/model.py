@@ -19,6 +19,8 @@ from .errors import (
     DimensionRangeError,
     NumericalConsistencyError,
     ParameterRangeError,
+    as_integer,
+    as_real,
 )
 from .fourier import level_sums, spectrum, theta_from_levels
 
@@ -34,15 +36,14 @@ class DsbsInstance:
     n: int
 
     def __post_init__(self):
-        if not -1.0 <= self.rho <= 1.0:
-            raise ParameterRangeError(f"correlation must be in [-1, 1], got {self.rho}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DimensionRangeError(f"blocklength must be a positive integer, got {self.n}")
+        rho = as_real("correlation", self.rho, -1.0, 1.0)
+        n = as_integer("blocklength", self.n, 1, error=DimensionRangeError)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "n", n)
 
     def pair_probability(self, d: int) -> float:
         """Probability of one specific pair (x, y) at Hamming distance d."""
-        if not 0 <= d <= self.n:
-            raise ParameterRangeError(f"distance must be in 0..{self.n}, got {d}")
+        d = as_integer("distance", d, 0, self.n)
         return ((1.0 - self.rho) / 4.0) ** d * ((1.0 + self.rho) / 4.0) ** (self.n - d)
 
 
@@ -85,8 +86,7 @@ def collision_prob(a: BinaryCode, b: BinaryCode, rho: float) -> float:
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"code dimensions differ: {a.n} vs {b.n}")
-    if not -1.0 <= rho <= 1.0:
-        raise ParameterRangeError(f"correlation must be in [-1, 1], got {rho}")
+    rho = as_real("correlation", rho, -1.0, 1.0)
     n = a.n
     q = _distance_path(distance_distribution(a, b), a.size * b.size, rho)
 
@@ -127,8 +127,7 @@ def dyadic_round(target: float, n: int) -> tuple[float, float]:
     """
     if not 0.0 <= target <= 1.0:
         raise ParameterRangeError(f"target density must be in [0, 1], got {target}")
-    if not isinstance(n, int) or n < 1:
-        raise DimensionRangeError(f"blocklength must be a positive integer, got {n}")
+    n = as_integer("blocklength", n, 1, error=DimensionRangeError)
     scale = 1 << n
     rounded = math.floor(target * scale) / scale
     return rounded, target - rounded

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ from .errors import (
     ParameterRangeError,
     SearchBudgetError,
     as_integer,
+    as_real,
 )
 from .fourier import fwht
 from .model import DsbsInstance, collision_prob
@@ -113,11 +113,6 @@ class OracleResult:
             "pairs_evaluated": self.pairs_evaluated,
             "orbits_enumerated": self.orbits_enumerated,
         }
-
-
-def _check_rho(rho) -> None:
-    if isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not -1.0 <= rho <= 1.0:
-        raise ParameterRangeError(f"correlation must be in [-1, 1], got {rho!r}")
 
 
 def _orbit_reps(n: int, m: int) -> list[tuple[int, ...]]:
@@ -199,7 +194,7 @@ def exhaustive_extremes(
     if objective == "collision":
         if rho is None:
             raise ParameterRangeError("collision objective needs a correlation value")
-        _check_rho(rho)
+        rho = as_real("correlation", rho, -1.0, 1.0)
     else:
         rho = None
 
@@ -318,7 +313,7 @@ def local_search(
     n = as_integer("n", n, 1, MAX_LOCAL_DIM, DimensionRangeError)
     size = 1 << n
     m, n_second = as_integer("m", m, 1, size), as_integer("n_second", n_second, 1, size)
-    _check_rho(rho)
+    rho = as_real("correlation", rho, -1.0, 1.0)
     if direction not in ("max", "min"):
         raise ParameterRangeError(f"direction must be max or min, got {direction!r}")
     iters, seed = as_integer("iters", iters, 0), as_integer("seed", seed, 0)
@@ -406,7 +401,7 @@ def construction_value(kind: str, n: int, i: int, rho: float) -> float:
     coordinate-wise reflection, giving ((1-rho)/4)^i.  ``hamming-ball-pair``:
     both codes are the radius-i ball around the all-ones word.
     """
-    _check_rho(rho)
+    rho = as_real("correlation", rho, -1.0, 1.0)
     if kind == "symmetric-subcube":
         a = subcube(n, i)
         return collision_prob(a, a, rho)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -104,60 +103,6 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-class _Lab:
-    """One random code pair with lazily computed shared artifacts."""
-
-    def __init__(self, a: BinaryCode, b: BinaryCode, sym: CubeSymmetry | None):
-        self.a = a
-        self.b = b
-        self.sym = sym
-        self.n = a.n
-
-    @cached_property
-    def fa(self):
-        return spectrum(self.a)
-
-    @cached_property
-    def fb(self):
-        return spectrum(self.b)
-
-    @cached_property
-    def levels(self):
-        return level_sums(self.fa, self.fb)
-
-    @cached_property
-    def p_ab(self):
-        return distance_distribution(self.a, self.b)
-
-    @cached_property
-    def p_aa(self):
-        return distance_distribution(self.a, self.a)
-
-    @cached_property
-    def p_bb(self):
-        return distance_distribution(self.b, self.b)
-
-    @cached_property
-    def p_acb(self):
-        return distance_distribution(complement(self.a), self.b)
-
-    @cached_property
-    def dual_ab(self):
-        return dual_distribution(self.a, self.b)
-
-    @cached_property
-    def dual_aa(self):
-        return dual_distribution(self.a, self.a)
-
-    @cached_property
-    def dual_bb(self):
-        return dual_distribution(self.b, self.b)
-
-    def reflected(self, dist: DistanceDistribution) -> DistanceDistribution:
-        """Distance distribution against the coordinate-flipped first code."""
-        return DistanceDistribution(self.n, dist.p[::-1])
-
-
 class _Collector:
     def __init__(self, fault: str | None):
         self.fault = fault
@@ -183,14 +128,20 @@ class _Collector:
         return out
 
 
-def _run_families(lab: _Lab, c: _Collector) -> None:
-    n = lab.n
+def _run_families(a: BinaryCode, b: BinaryCode, sym: CubeSymmetry | None, c: _Collector) -> None:
+    n = a.n
     size = 1 << n
-    a, b = lab.a, lab.b
     da, db = a.density, b.density
+    fa = spectrum(a)
+    levels = level_sums(fa, spectrum(b))
+    p_ab = distance_distribution(a, b)
+    p_aa, p_bb = distance_distribution(a), distance_distribution(b)
+    dual_ab, dual_aa, dual_bb = dual_distribution(a, b), dual_distribution(a), dual_distribution(b)
+    # the complement of the full cube is empty
+    p_acb = distance_distribution(complement(a), b) if a.size < size else None
     where = f"n={n} |A|={a.size} |B|={b.size}"
 
-    err = abs(float(np.sum(lab.fa.coeffs**2)) - 1.0)
+    err = abs(float(np.sum(fa.coeffs**2)) - 1.0)
     c.check("parseval", err, 1e-9, where)
 
     ind = a.indicator()
@@ -199,51 +150,51 @@ def _run_families(lab: _Lab, c: _Collector) -> None:
 
     signs = 2.0 * ((a.word_array()[:, None] >> np.arange(n, dtype=np.uint64)) & 1) - 1.0
     expect = 2.0 * signs.sum(axis=0) / size
-    got = np.array([lab.fa.coeffs[1 << i] for i in range(n)])
+    got = np.array([fa.coeffs[1 << i] for i in range(n)])
     c.check("level-one-extraction", float(np.max(np.abs(got - expect))), 1e-9, where)
 
-    d_ab = distance_moment(lab.p_ab, 1)
-    err = abs(lab.levels.s[1] - 4.0 * da * db * (n - 2.0 * d_ab))
+    d_ab = distance_moment(p_ab, 1)
+    err = abs(levels.s[1] - 4.0 * da * db * (n - 2.0 * d_ab))
     c.check("level-one-sum", err, 1e-9, where)
 
     prods = fwht(ind) * fwht(b.indicator())
     weights = np.bitwise_count(np.arange(size, dtype=np.int64))
     direct = np.bincount(weights, weights=prods, minlength=n + 1) / (a.size * b.size)
-    err = float(np.max(np.abs(direct - np.array(lab.dual_ab.q))))
+    err = float(np.max(np.abs(direct - np.array(dual_ab.q))))
     c.check("dual-bridge", err, 1e-9, where)
 
     for z in (0.3, 1.0, 1.7):
-        lhs = _poly_eval(lab.dual_ab.q, z)
-        rhs = (1.0 + z) ** n * _poly_eval(lab.p_ab.p, (1.0 - z) / (1.0 + z))
+        lhs = _poly_eval(dual_ab.q, z)
+        rhs = (1.0 + z) ** n * _poly_eval(p_ab.p, (1.0 - z) / (1.0 + z))
         err = abs(lhs - rhs) / max(1.0, abs(lhs))
         c.check("macwilliams-forward", err, 1e-9, f"{where} z={z}")
 
     for z in (0.0, 0.4, 1.0, 2.5):
-        lhs = _poly_eval(lab.p_ab.p, z)
-        rhs = ((1.0 + z) / 2.0) ** n * _poly_eval(lab.dual_ab.q, (1.0 - z) / (1.0 + z))
+        lhs = _poly_eval(p_ab.p, z)
+        rhs = ((1.0 + z) / 2.0) ** n * _poly_eval(dual_ab.q, (1.0 - z) / (1.0 + z))
         err = abs(lhs - rhs) / max(1.0, abs(lhs))
         c.check("macwilliams-round-trip", err, 1e-9, f"{where} z={z}")
 
     if a.size < size:
-        lhs = a.size * d_ab + (size - a.size) * distance_moment(lab.p_acb, 1)
+        lhs = a.size * d_ab + (size - a.size) * distance_moment(p_acb, 1)
         rhs = n * size / 2.0
         c.check("complement-average-distance", abs(lhs - rhs) / rhs, 1e-9, where)
 
         for z in (0.3, 1.0, 2.0):
-            lhs = a.size * _poly_eval(lab.p_ab.p, z) + (size - a.size) * _poly_eval(
-                lab.p_acb.p, z
+            lhs = a.size * _poly_eval(p_ab.p, z) + (size - a.size) * _poly_eval(
+                p_acb.p, z
             )
             rhs = (1.0 + z) ** n
             c.check("enumerator-complement", abs(lhs - rhs) / rhs, 1e-9, f"{where} z={z}")
 
-    p_star = lab.reflected(lab.p_ab)
+    p_star = DistanceDistribution(n, p_ab.p[::-1])
     err = abs(d_ab + distance_moment(p_star, 1) - n)
     c.check("star-average-distance", err, 1e-9, where)
 
     for k in range(1, 5):
         lhs = distance_moment(p_star, k)
         rhs = math.fsum(
-            math.comb(k, i) * n ** (k - i) * (-1.0) ** i * distance_moment(lab.p_ab, i)
+            math.comb(k, i) * n ** (k - i) * (-1.0) ** i * distance_moment(p_ab, i)
             for i in range(k + 1)
         )
         err = abs(lhs - rhs) / max(1.0, abs(rhs))
@@ -251,14 +202,14 @@ def _run_families(lab: _Lab, c: _Collector) -> None:
 
     for z in (0.5, 1.3):
         lhs = _poly_eval(p_star.p, z)
-        rhs = z**n * _poly_eval(lab.p_ab.p, 1.0 / z)
+        rhs = z**n * _poly_eval(p_ab.p, 1.0 / z)
         err = abs(lhs - rhs) / max(1.0, abs(rhs))
         c.check("enumerator-star", err, 1e-9, f"{where} z={z}")
 
     pairs = a.size * b.size
     for rho in _RHO_GRID:
-        q_dist = _distance_path(lab.p_ab, pairs, rho)
-        q_spec = da * db + theta_from_levels(lab.levels, rho)
+        q_dist = _distance_path(p_ab, pairs, rho)
+        q_spec = da * db + theta_from_levels(levels, rho)
         c.check("collision-path-agreement", abs(q_dist - q_spec), 1e-9, f"{where} rho={rho}")
 
         theta = q_dist - da * db
@@ -266,44 +217,44 @@ def _run_families(lab: _Lab, c: _Collector) -> None:
         c.check("covariance-range", viol, 1e-12, f"{where} rho={rho}")
 
     for rho in (0.3, 0.7, 1.0):
-        lhs = _distance_path(lab.p_ab, pairs, -rho)
-        rhs = _distance_path(lab.reflected(lab.p_ab), pairs, rho)
+        lhs = _distance_path(p_ab, pairs, -rho)
+        rhs = _distance_path(p_star, pairs, rho)
         c.check("negation-reduction", abs(lhs - rhs), 1e-9, f"{where} rho={rho} star")
         if a.size < size:
-            lhs = _distance_path(lab.p_acb, (size - a.size) * b.size, rho)
-            rhs = db - _distance_path(lab.p_ab, pairs, rho)
+            lhs = _distance_path(p_acb, (size - a.size) * b.size, rho)
+            rhs = db - _distance_path(p_ab, pairs, rho)
             c.check("negation-reduction", abs(lhs - rhs), 1e-9, f"{where} rho={rho} compl")
 
-    qa = np.maximum(np.array(lab.dual_aa.q), 0.0)
-    qb = np.maximum(np.array(lab.dual_bb.q), 0.0)
-    viol = float(np.max(np.abs(np.array(lab.dual_ab.q)) - np.sqrt(qa * qb)))
+    qa = np.maximum(np.array(dual_aa.q), 0.0)
+    qb = np.maximum(np.array(dual_bb.q), 0.0)
+    viol = float(np.max(np.abs(np.array(dual_ab.q)) - np.sqrt(qa * qb)))
     c.check("dual-cauchy-schwarz", viol, 1e-9, where)
 
     half = n / 2.0
-    gap_a = max(0.0, half - distance_moment(lab.p_aa, 1))
-    gap_b = max(0.0, half - distance_moment(lab.p_bb, 1))
+    gap_a = max(0.0, half - distance_moment(p_aa, 1))
+    gap_b = max(0.0, half - distance_moment(p_bb, 1))
     lhs = abs(half - d_ab)
     mid = math.sqrt(gap_a * gap_b)
     viol = max(lhs - mid, mid - (gap_a + gap_b) / 2.0)
     c.check("distance-cauchy-schwarz", viol, 1e-9, where)
 
     for z in (0.0, 0.4, 1.0):
-        g_ab = _poly_eval(lab.p_ab.p, z)
-        g_a = _poly_eval(lab.p_aa.p, z)
-        g_b = _poly_eval(lab.p_bb.p, z)
+        g_ab = _poly_eval(p_ab.p, z)
+        g_a = _poly_eval(p_aa.p, z)
+        g_b = _poly_eval(p_bb.p, z)
         mid = math.sqrt(max(0.0, g_a * g_b))
         viol = max(g_ab - mid, mid - (g_a + g_b) / 2.0)
         c.check("enumerator-cauchy-schwarz", viol, 1e-9, f"{where} z={z}")
     for z in (1.0, 2.5):
-        g_ab = _poly_eval(lab.p_ab.p, z)
-        g_a = _poly_eval(lab.reflected(lab.p_aa).p, z)
-        g_b = _poly_eval(lab.reflected(lab.p_bb).p, z)
+        g_ab = _poly_eval(p_ab.p, z)
+        g_a = _poly_eval(p_aa.p[::-1], z)
+        g_b = _poly_eval(p_bb.p[::-1], z)
         mid = math.sqrt(max(0.0, g_a * g_b))
         viol = max(g_ab - mid, mid - (g_a + g_b) / 2.0)
         c.check("enumerator-cauchy-schwarz", viol, 1e-9, f"{where} z={z} reflected")
 
-    if lab.sym is not None:
-        ga = apply_symmetry(lab.sym, a)
+    if sym is not None:
+        ga = apply_symmetry(sym, a)
         canon = canonical_form(a)
         # Orbit invariance alone passes any orbit-invariant function, so also
         # check the form against A directly: it shares A's self distance
@@ -313,14 +264,14 @@ def _run_families(lab: _Lab, c: _Collector) -> None:
         ok = (
             canonical_form(ga).words == canon.words
             and canon.words[0] == 0
-            and distance_distribution(canon).p == lab.p_aa.p
+            and distance_distribution(canon).p == p_aa.p
             and all(canon.words <= tuple(row) for row in translates.tolist())
         )
         c.check("canonical-invariance", 0.0 if ok else 1.0, 0.0, where)
 
-        gb = apply_symmetry(lab.sym, b)
+        gb = apply_symmetry(sym, b)
         moved = distance_distribution(ga, gb)
-        err = float(np.max(np.abs(np.array(moved.p) - np.array(lab.p_ab.p))))
+        err = float(np.max(np.abs(np.array(moved.p) - np.array(p_ab.p))))
         c.check("symmetry-distance-invariance", err, 1e-12, where)
 
 
@@ -335,7 +286,7 @@ def run_verify(
     ``fault`` injects a synthetic error into the named family's first check,
     for exercising the failure path end to end.
     """
-    trials = as_integer("trials", trials, 1)
+    seed, trials = as_integer("seed", seed, 0), as_integer("trials", trials, 1)
     dims = tuple(as_integer("dims entry", n, 1, MAX_TRANSFORM_DIM) for n in dims)
     if not dims:
         raise ParameterRangeError("dims must name at least one dimension")
@@ -356,5 +307,5 @@ def run_verify(
                     tuple(int(p) for p in rng.permutation(n)),
                     int(rng.integers(0, size)),
                 )
-            _run_families(_Lab(a, b, sym), collector)
+            _run_families(a, b, sym, collector)
     return VerifyReport(seed, trials, dims, collector.results())

@@ -260,8 +260,10 @@ class TestHcBounds:
     def test_parameter_guards(self):
         with pytest.raises(ParameterRangeError):
             hc_bounds(0.0, 0.5, 0.5)
-        with pytest.raises(ParameterRangeError):
-            hc_bounds(0.3, 0.4, 1.5)
+        for rho in (1.5, True, "0.5"):
+            with pytest.raises(ParameterRangeError):
+                hc_bounds(0.3, 0.4, rho)
+        assert hc_bounds(0.3, 0.3, np.float64(0.5)) == hc_bounds(0.3, 0.3, 0.5)
 
 
 def naive_certificate_60_digits(u, v, k, a, b, rho):

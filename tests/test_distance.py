@@ -1,6 +1,7 @@
 """Distance histograms, dual weights, transform pairs, and rate bounds."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from nisim import (
 from nisim.distance import _pairwise_counts, _psi_objective, _transform_counts
 from nisim.errors import (
     DimensionMismatchError,
+    DimensionRangeError,
     NumericalConsistencyError,
     ParameterRangeError,
 )
@@ -237,6 +239,12 @@ class TestAverageDistanceBounds:
             cross_distance_bounds(4, 0.0, 0.5)
         with pytest.raises(ParameterRangeError):
             cross_distance_bounds(4, 0.5, 1.5)
+        for n in (True, 4.0, 4.5):
+            with pytest.raises(DimensionRangeError):
+                cross_distance_bounds(n, 0.25, 0.5)
+        band = cross_distance_bounds(np.int64(4), 0.25, 0.5)
+        assert band == cross_distance_bounds(4, 0.25, 0.5)
+        assert type(band.n) is int and type(band.lower) is float and type(band.upper) is float
 
     def test_floor_values(self):
         assert abs(fwy_lower_bound(3, 0.5) - 1.0) <= 1e-15
@@ -265,6 +273,35 @@ class TestRateBounds:
         assert psi(0.5) <= 0.5 + 1e-9
         assert psi(0.5) >= 0.49
         assert psi(0.999) <= math.log(1 / 0.999) + 1e-9
+
+    def test_psi_objective_matches_60_digit_decimal(self):
+        """The functional (1 + a eps)(a t u - (1 + a eps) ln(1 + a eps)) / (a eps)^2,
+        t = e^u, eps = t - 1, in 60-digit decimal, on both sides of u = 0 from
+        1e-8 to 14: the raw float form cancels for |eps| just above 1e-5."""
+
+        def reference(a, u):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                a, u = Decimal(a), Decimal(u)
+                t = u.exp()
+                eps = t - 1
+                g = a * t * u - (1 + a * eps) * (1 + a * eps).ln()
+                return (1 + a * eps) * g / (a * eps) ** 2
+
+        worst = 0.0
+        for a in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            for mag in np.logspace(-8, math.log10(14.0), 120):
+                for u in (float(mag), -float(mag)):
+                    ref = reference(a, u)
+                    worst = max(worst, float(abs((Decimal(_psi_objective(a, u)) - ref) / ref)))
+        assert worst <= 1e-12
+        assert _psi_objective(0.3, 0.0) == (1.0 - 0.3) / (2.0 * 0.3)
+
+    def test_psi_half_density_not_below_half(self):
+        """psi(1/2) = 1/2, so psi_bound(4, 1/2) must not pass 3/2, the average
+        self-distance of the half cube."""
+        assert psi(0.5) >= 0.5 - 1e-15
+        assert psi_bound(4, 0.5) <= 1.5
 
     def test_psi_matches_dense_scan(self):
         for a in (0.1, 0.37, 0.5, 0.8):

@@ -56,13 +56,17 @@ class TestRunVerify:
             {"trials": 1, "dims": (4.0,)},
             {"trials": 1, "dims": (True,)},
             {"trials": 1, "dims": (0,)},
+            {"seed": True, "trials": 1, "dims": (4,)},
+            {"seed": 2.0, "trials": 1, "dims": (4,)},
+            {"seed": 2.5, "trials": 1, "dims": (4,)},
         ):
             with pytest.raises(ParameterRangeError):
                 run_verify(**kwargs)
 
     def test_numpy_integer_arguments_run(self):
-        report = run_verify(seed=3, trials=np.int64(2), dims=(np.int64(4), np.uint8(5)))
+        report = run_verify(seed=np.int64(3), trials=np.int64(2), dims=(np.int64(4), np.uint8(5)))
         assert report.to_text() == run_verify(seed=3, trials=2, dims=(4, 5)).to_text()
+        assert type(report.seed) is int and type(report.trials) is int
 
 
 class TestFaultInjection:
