@@ -14,8 +14,8 @@ three-parameter certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings as _warnings
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, DecimalException, localcontext
 from typing import NamedTuple
@@ -55,8 +55,7 @@ def normalize_instance(a: float, b: float, rho: float) -> tuple[float, float, fl
     complementing that function (q maps affinely); finally the two densities
     are swapped into sorted order.
     """
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ParameterRangeError(f"densities must be in [0, 1], got ({a}, {b})")
+    a, b = as_real("density", a, 0.0, 1.0), as_real("density", b, 0.0, 1.0)
     rho = as_real("correlation", rho, -1.0, 1.0)
     steps: list[str] = []
     alpha, beta = 1.0, 0.0
@@ -107,7 +106,8 @@ def theorem1_bounds(a: float, b: float, rho: float) -> Theorem1Bounds:
     Two lower and two upper bounds; neither member of a pair dominates the
     other across the whole parameter range, so callers should intersect them.
     """
-    if not (0.0 <= a <= b <= 0.5):
+    a, b = as_real("density", a, 0.0, 1.0), as_real("density", b, 0.0, 1.0)
+    if not (a <= b <= 0.5):
         raise ParameterRangeError(
             f"expected a normalized instance with a <= b <= 1/2, got ({a}, {b})"
         )
@@ -125,6 +125,7 @@ def theorem1_bounds(a: float, b: float, rho: float) -> Theorem1Bounds:
 
 def symmetric_bounds(a: float, rho: float) -> tuple[float, float]:
     """Two-sided envelope for equal densities: (lower, upper)."""
+    a = as_real("density", a, 0.0, 1.0)
     if not 0.0 < a <= 0.5:
         raise ParameterRangeError(f"density must be in (0, 1/2], got {a}")
     rho = as_real("normalized correlation", rho, 0.0, 1.0)
@@ -134,8 +135,7 @@ def symmetric_bounds(a: float, rho: float) -> tuple[float, float]:
 def maximal_correlation_bounds(a: float, b: float, rho: float) -> tuple[float, float]:
     """Linear-in-rho bounds ab -+ sqrt(a(1-a)b(1-b)) rho, clamped to the
     trivial range [0, min(a, b)]."""
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ParameterRangeError(f"densities must be in [0, 1], got ({a}, {b})")
+    a, b = as_real("density", a, 0.0, 1.0), as_real("density", b, 0.0, 1.0)
     rho = as_real("normalized correlation", rho, 0.0, 1.0)
     dev = math.sqrt(a * (1.0 - a) * b * (1.0 - b)) * rho
     cap = min(a, b)
@@ -144,19 +144,18 @@ def maximal_correlation_bounds(a: float, b: float, rho: float) -> tuple[float, f
     return lb, ub
 
 
-# Certificate optimizer settings: coarse log-grid points per axis; pattern-search
-# sweep budget per start, past which the search stops with a still-valid but
-# possibly loose bound and a warning; half-width of the excluded band around
-# the removable singularities at s = 1 and t = 1 (log coordinates); and the
-# pattern-search step at which a start has converged.
+# Certificate optimizer settings: coarse log-grid points per axis; half-width
+# of the excluded band around the removable singularities at s = 1 and t = 1
+# (log coordinates); and the pattern-search step at which a start has
+# converged.
 _GRID_POINTS = 33
-_REFINE_SWEEPS = 500
 _EXCLUSION = 1e-4
 _REL_TOL = 1e-6
 # Equal densities: scan points and half-width of the u range on the ridge, and
 # the golden-section tolerance in u.  The range reaches past _LOG_LIMIT because
 # the lower side's optima lie at u of about 8 to 12.  Densities this close
-# count as equal, which covers a decimal density and its complement.
+# count as equal, which covers a decimal density and its complement.  Unequal
+# densities keep |u| and |v| below _RIDGE_LIMIT too.
 _RIDGE_POINTS = 4001
 _RIDGE_LIMIT = 40.0
 _RIDGE_TOL = 1e-9
@@ -168,16 +167,12 @@ _LOG_LIMIT = math.log(1e3)
 _KAPPA_MIN = 1e-3
 _KAPPA_MAX = 1e3
 
-# Pattern-search directions in (u, v, z) log coordinates: the six axis moves
-# plus the four (u, v) diagonals.  The diagonals matter because the objective
-# has a narrow valley along u = v near the excluded band where axis-only
-# search stalls.  Shape (3, 1, 10): coordinate, start, move.
+# Pattern-search moves in (log|u|, log|v|, z): every mix of -1, 0 and +1 steps
+# but the null move.  Along the optima's valleys v kappa or u kappa' stays
+# nearly fixed, which is a straight diagonal in these coordinates.  Shape
+# (3, 1, 26): coordinate, start, move.
 _STENCIL = np.array(
-    [
-        (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-        (1, 1, 0), (-1, -1, 0), (1, -1, 0), (-1, 1, 0),
-    ],
-    dtype=float,
+    [move for move in itertools.product((-1, 0, 1), repeat=3) if any(move)], dtype=float
 ).T[:, None, :]
 
 
@@ -231,17 +226,17 @@ def _hc_search(a, b, rho):
 
     The grid is scored once per kappa branch, over the layers whose kappa lies
     in [_KAPPA_MIN, _KAPPA_MAX], each cell for the side it lies on; the best
-    two cells of each side and branch start a pattern search.
-    All starts move together, each with its own step, and one ``_scores``
-    call per sweep evaluates every stencil move of every start.  A start stops
-    when its step falls to ``_REL_TOL`` (converged) or after ``_REFINE_SWEEPS``
-    sweeps.  Every feasible point is a valid bound on its own, so an exhausted
-    budget costs tightness, never validity.
+    two cells of each side and branch start a pattern search.  Each start
+    moves in (log|u|, log|v|, z) within its own quadrant of (u, v), over the
+    full ``_STENCIL``, and within a box: |u| and |v| in [_EXCLUSION,
+    _RIDGE_LIMIT], and |kappa - 1| at least rho^2/(_KAPPA_MAX - 1), so that
+    kappa' is capped like kappa.  All starts move together, each with its own
+    step, and one ``_scores`` call per sweep evaluates every move of every
+    start.  A start stops when its step falls to ``_REL_TOL``.
 
-    Returns, for the upper and then the lower side, (winning point (u, v,
-    kappa), converged, kappa branch of the winning start, last improvement of
-    the winning start).  ``hc_bounds`` uses it for unequal densities; at equal
-    densities the tests use it as the reference for ``_ridge_search``.
+    Returns the upper and then the lower point (u, v, kappa).  ``hc_bounds``
+    uses it for unequal densities; at equal densities the tests use it as the
+    reference for ``_ridge_search``.
     """
     axis = np.linspace(-_LOG_LIMIT, _LOG_LIMIT, _GRID_POINTS)
     axis = axis[np.abs(axis) >= _EXCLUSION]
@@ -266,26 +261,28 @@ def _hc_search(a, b, rho):
 
     sign, branch, best, pos = (np.array(col) for col in zip(*starts))
     pos = pos.T
+    quadrant = np.sign(pos[:2])
+    pos[:2] = np.log(np.abs(pos[:2]))
+    # The box in (log|u|, log|v|, z), shaped to broadcast over (start, move).
+    low = np.log([_EXCLUSION, _EXCLUSION, rho * rho / (_KAPPA_MAX - 1.0)])[:, None, None]
+    high = np.log([_RIDGE_LIMIT, _RIDGE_LIMIT, np.inf])[:, None, None]
     # Per move, so that every array of a sweep has the shape (start, move).
     moves = _STENCIL.shape[-1]
     sign_m, branch_m = np.repeat(sign[:, None], moves, 1), np.repeat(branch[:, None], moves, 1)
-    gain = np.zeros(len(starts))
     step = np.full(len(starts), 0.7)
     rows = np.arange(len(starts))
-    # All starts begin together, so those still refining after _REFINE_SWEEPS
-    # sweeps are exactly those that exhausted their budget.
-    for _ in range(_REFINE_SWEEPS):
-        live = step > _REL_TOL
-        if not live.any():
-            break
-        cand = pos[:, :, None] + _STENCIL * step[:, None]
-        uv = cand[:2]  # pushed out of the excluded band, keeping its sign
-        np.copysign(np.maximum(np.abs(uv), _EXCLUSION), uv, out=uv)
-        score = _scores(*cand, branch_m, sign_m, a, b, rho)
+    # There is no sweep cap, yet the loop ends.  A start only moves to a point
+    # of strictly lower score, and kappa outside [_KAPPA_MIN, _KAPPA_MAX]
+    # scores +inf, so it stays in a bounded box; at one step size it can
+    # therefore visit only finitely many points before the step halves, down
+    # to _REL_TOL.
+    while (live := step > _REL_TOL).any():
+        cand = np.clip(pos[:, :, None] + _STENCIL * step[:, None], low, high)
+        uv = quadrant[:, :, None] * np.exp(cand[:2])
+        score = _scores(*uv, cand[2], branch_m, sign_m, a, b, rho)
         pick = score.argmin(1)
         found = score[rows, pick]
         moved = live & (found < best - 1e-15)
-        gain = np.where(moved, best - found, gain)
         best = np.where(moved, found, best)
         pos = np.where(moved, cand[:, rows, pick], pos)
         step = np.where(moved, step, 0.5 * step)
@@ -294,10 +291,8 @@ def _hc_search(a, b, rho):
     for side in (1.0, -1.0):
         mine = np.flatnonzero(sign == side)
         win = mine[np.argmin(best[mine])]
-        tied = mine[best[mine] == best[win]]
-        converged = bool(np.any(step[tied] <= _REL_TOL))
-        u, v, z = pos[:, win]
-        out.append(((u, v, 1.0 + branch[win] * np.exp(z)), converged, branch[win], gain[win]))
+        u, v = quadrant[:, win] * np.exp(pos[:2, win])
+        out.append((u, v, 1.0 + branch[win] * np.exp(pos[2, win])))
     return out
 
 
@@ -379,12 +374,13 @@ def hc_bounds(a: float, b: float, rho: float) -> tuple[float, float]:
 
     - Equal densities (to within 2^-53, so that 0.3 and 1 - 0.7 count as
       equal) take ``_ridge_search``: a scan of u = v over [-40, 40] at
-      kappa = 1 +- rho and a golden-section refinement.  It has no budget and
-      never warns.
+      kappa = 1 +- rho and a golden-section refinement.
     - Unequal densities take ``_hc_search``, with fixed settings: a 33-point
-      grid, at most 500 sweeps per start, step tolerance 1e-6 and an excluded
-      band of 1e-4.  An exhausted budget costs tightness only and is reported
-      through a RuntimeWarning.
+      grid, then a pattern search in (log|u|, log|v|, log|kappa - 1|) down to
+      a step of 1e-6, with 1e-4 <= |u|, |v| <= 40, kappa in [1e-3, 1e3] and
+      |kappa' - 1| at most 999.
+
+    Neither search has a budget, and neither warns.
 
     Either way the winning point of each side is re-evaluated once in
     50-digit decimal arithmetic and rounded outward, so each side is a
@@ -395,6 +391,7 @@ def hc_bounds(a: float, b: float, rho: float) -> tuple[float, float]:
     search.  The result always satisfies
     max(0, a + b - 1) <= lower <= upper <= min(a, b).
     """
+    a, b = as_real("density", a, 0.0, 1.0), as_real("density", b, 0.0, 1.0)
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
         raise ParameterRangeError(f"densities must be in (0, 1), got ({a}, {b})")
     rho = as_real("normalized correlation", rho, 0.0, 1.0)
@@ -402,25 +399,8 @@ def hc_bounds(a: float, b: float, rho: float) -> tuple[float, float]:
         return a * b, a * b
     if rho == 1.0:
         return max(0.0, a + b - 1.0), min(a, b)
-    if abs(a - b) <= _SAME_DENSITY:
-        upper, lower = _ridge_search(a, b, rho)
-    else:
-        sides = _hc_search(a, b, rho)
-        (upper, *_), (lower, *_) = sides
-        stalled = [
-            f"the {name} bound's winning start (kappa {'above' if branch > 0 else 'below'} 1) "
-            f"last improved by {gain:.3g}"
-            for name, (_, converged, branch, gain) in zip(("upper", "lower"), sides)
-            if not converged
-        ]
-        if stalled:
-            _warnings.warn(
-                f"certificate refinement hit its sweep budget at densities ({a}, {b}), "
-                f"rho {rho}: {'; '.join(stalled)}; the bounds are valid but may not be "
-                "fully tightened",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    search = _ridge_search if abs(a - b) <= _SAME_DENSITY else _hc_search
+    upper, lower = search(a, b, rho)
     ub = _certify(*upper, a, b, rho, 1.0)
     lb = _certify(*lower, a, b, rho, -1.0)
     # Intersect with the bounds that hold for every joint distribution with
@@ -472,6 +452,7 @@ def combined_report(a: float, b: float, rho: float) -> BoundsReport:
     The de-normalization uses only the affine record from normalization; no
     family formula is re-derived in original coordinates.
     """
+    a, b = as_real("density", a, 0.0, 1.0), as_real("density", b, 0.0, 1.0)
     rho = as_real("correlation", rho, -1.0, 1.0)
     na, nb, nrho, record = normalize_instance(a, b, rho)
     notes: list[str] = []
@@ -484,10 +465,7 @@ def combined_report(a: float, b: float, rho: float) -> BoundsReport:
     else:
         t1 = theorem1_bounds(na, nb, nrho)
         mc = maximal_correlation_bounds(na, nb, nrho)
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            hc = hc_bounds(na, nb, nrho)
-        notes.extend(str(w.message) for w in caught)
+        hc = hc_bounds(na, nb, nrho)
 
     cap = min(na, nb)
     clamp = lambda v: min(cap, max(0.0, v))

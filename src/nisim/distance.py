@@ -37,6 +37,7 @@ class DistanceDistribution:
     p: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_integer("dimension", self.n, 1, error=DimensionRangeError))
         if len(self.p) != self.n + 1:
             raise ParameterRangeError(
                 f"need {self.n + 1} entries for dimension {self.n}, got {len(self.p)}"
@@ -54,6 +55,7 @@ class DualDistribution:
     q: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_integer("dimension", self.n, 1, error=DimensionRangeError))
         if len(self.q) != self.n + 1:
             raise ParameterRangeError(
                 f"need {self.n + 1} entries for dimension {self.n}, got {len(self.q)}"
@@ -73,6 +75,7 @@ class AvgDistanceBounds:
     upper: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_integer("dimension", self.n, 1, error=DimensionRangeError))
         if not 0.0 <= self.lower <= self.upper <= self.n:
             raise ParameterRangeError(
                 f"bounds ({self.lower}, {self.upper}) must be ordered within [0, {self.n}]"

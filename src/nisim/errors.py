@@ -10,8 +10,10 @@ every correlation through :func:`as_real`.  Each returns the value as a plain
 Python ``int`` or ``float``, which the caller uses from then on, so a numpy
 scalar is accepted and stored as the builtin type.  A bool, a string, or a non-integral number
 where an integer is due is refused with the error type the caller names.
-Word lists (coerced word by word in ``make_code``) and densities (whose open
-or closed ends differ by function) keep their own checks.
+The densities of the ``bounds`` functions and the target of ``dyadic_round``
+go through :func:`as_real` on [0, 1], and each ``bounds`` function then
+checks its own, narrower range.  Other densities and word lists (coerced
+word by word in ``make_code``) keep their own checks.
 """
 
 import math
@@ -47,7 +49,7 @@ class NumericalConsistencyError(ArithmeticError):
 
 
 class ConvergenceError(ArithmeticError):
-    """An iterative optimizer exhausted its budget before reaching tolerance."""
+    """An optimizer found no feasible point to start from."""
 
 
 class SearchBudgetError(RuntimeError):

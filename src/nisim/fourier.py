@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import MAX_TRANSFORM_DIM, BinaryCode
-from .errors import DimensionMismatchError, DimensionRangeError, ParameterRangeError, as_real
+from .errors import (
+    DimensionMismatchError,
+    DimensionRangeError,
+    ParameterRangeError,
+    as_integer,
+    as_real,
+)
 
 
 # Each pass of fwht transforms up to 5 index bits with one product against a
@@ -94,6 +100,7 @@ class FourierSpectrum:
     source: BinaryCode
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_integer("dimension", self.n, 1, error=DimensionRangeError))
         self.coeffs.flags.writeable = False
 
     def coefficient(self, mask: int) -> float:
@@ -122,6 +129,7 @@ class LevelSums:
     s: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_integer("dimension", self.n, 1, error=DimensionRangeError))
         if len(self.s) != self.n + 1:
             raise ParameterRangeError(
                 f"need {self.n + 1} level sums for dimension {self.n}, got {len(self.s)}"

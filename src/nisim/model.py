@@ -18,7 +18,6 @@ from .errors import (
     DimensionMismatchError,
     DimensionRangeError,
     NumericalConsistencyError,
-    ParameterRangeError,
     as_integer,
     as_real,
 )
@@ -41,10 +40,14 @@ class DsbsInstance:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "n", n)
 
+    def pair_weights(self) -> tuple[float, ...]:
+        """``pair_probability(d)`` for every distance d = 0..n."""
+        apart, alike = (1.0 - self.rho) / 4.0, (1.0 + self.rho) / 4.0
+        return tuple(apart**d * alike ** (self.n - d) for d in range(self.n + 1))
+
     def pair_probability(self, d: int) -> float:
         """Probability of one specific pair (x, y) at Hamming distance d."""
-        d = as_integer("distance", d, 0, self.n)
-        return ((1.0 - self.rho) / 4.0) ** d * ((1.0 + self.rho) / 4.0) ** (self.n - d)
+        return self.pair_weights()[as_integer("distance", d, 0, self.n)]
 
 
 @dataclass(frozen=True)
@@ -71,10 +74,8 @@ def _distance_path(dist: DistanceDistribution, pairs: int, rho: float) -> float:
     """The agreement probability summed over a cross distance distribution of
     ``pairs`` code pairs: each pair at distance d has probability
     ``pair_probability(d)``."""
-    inst = DsbsInstance(rho, dist.n)
-    return math.fsum(
-        pairs * p * inst.pair_probability(d) for d, p in enumerate(dist.p) if p > 0.0
-    )
+    weights = DsbsInstance(rho, dist.n).pair_weights()
+    return math.fsum(pairs * p * w for p, w in zip(dist.p, weights) if p > 0.0)
 
 
 def collision_prob(a: BinaryCode, b: BinaryCode, rho: float) -> float:
@@ -125,8 +126,7 @@ def dyadic_round(target: float, n: int) -> tuple[float, float]:
     The gap is always less than 2^-n, so blocklength-n codes can match any
     requested density to that resolution.
     """
-    if not 0.0 <= target <= 1.0:
-        raise ParameterRangeError(f"target density must be in [0, 1], got {target}")
+    target = as_real("target density", target, 0.0, 1.0)
     n = as_integer("blocklength", n, 1, error=DimensionRangeError)
     scale = 1 << n
     rounded = math.floor(target * scale) / scale

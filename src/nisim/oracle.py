@@ -302,7 +302,7 @@ def local_search(
     * it is deterministic for a fixed seed on a given numpy/BLAS build.
 
     Which of several fixed points a start reaches depends on the float rounding
-    of its scores (``fwht`` of the pair weight ``DsbsInstance.pair_probability``)
+    of its scores (``fwht`` of the pair weights ``DsbsInstance.pair_weights``)
     and is not part of the contract.  Ties between starts go to the smallest
     canonical pair at n <= ``MAX_CANONICAL_DIM``; above it, to the smallest
     sorted word lists, and the witness is reported as found, not
@@ -321,10 +321,8 @@ def local_search(
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     sign = 1.0 if direction == "max" else -1.0
-    inst = DsbsInstance(rho, n)
     weight = np.bitwise_count(np.arange(size))
-    pair_weight = np.array([inst.pair_probability(d) for d in range(n + 1)])
-    g_hat = fwht(pair_weight[weight]) * (sign / size)
+    g_hat = fwht(np.array(DsbsInstance(rho, n).pair_weights())[weight]) * (sign / size)
     starts = []
     if m & (m - 1) == 0 and n_second & (n_second - 1) == 0:
         pin_a = n - m.bit_length() + 1

@@ -1,7 +1,9 @@
-"""The two argument rules, one row per public integer or correlation argument.
+"""The two argument rules, one row per public integer, correlation or density
+argument.
 
 An integer argument takes any integer but a bool and is used as a Python int;
-a correlation takes any real number but a bool and is used as a Python float.
+a correlation or a density takes any real number but a bool and is used as a
+Python float.
 Each row is called with a Python value and with the numpy scalar of that value,
 which must give equal results of the same type, and with values of the wrong
 kind, which must raise the argument's own error.
@@ -11,9 +13,13 @@ import numpy as np
 import pytest
 
 from nisim import (
+    AvgDistanceBounds,
     BinaryCode,
     CubeSymmetry,
+    DistanceDistribution,
     DsbsInstance,
+    DualDistribution,
+    FourierSpectrum,
     LevelSums,
     chang_bound,
     collision_prob,
@@ -24,6 +30,7 @@ from nisim import (
     dyadic_round,
     fwy_lower_bound,
     hamming_ball,
+    hc_bounds,
     joint_cells,
     make_code,
     maximal_correlation_bounds,
@@ -42,7 +49,7 @@ _DIST = distance_distribution(_CODE)
 _LEVELS = LevelSums(2, (0.0, 0.5, 0.25))
 
 # id: (call, valid value, error).  An int value marks an integer argument, a
-# float value a correlation.
+# float value a correlation or a density.
 ARGUMENTS = {
     "make_code-n": (lambda v: make_code(v, [1]).n, 2, DimensionRangeError),
     "BinaryCode-n": (lambda v: BinaryCode(v, (1,)).n, 2, DimensionRangeError),
@@ -59,6 +66,7 @@ ARGUMENTS = {
         lambda v: DsbsInstance(0.5, 4).pair_probability(v), 2, ParameterRangeError
     ),
     "dyadic_round-n": (lambda v: dyadic_round(0.3, v), 2, DimensionRangeError),
+    "dyadic_round-target": (lambda t: dyadic_round(t, 3), 0.3, ParameterRangeError),
     "distance_moment-k": (lambda v: distance_moment(_DIST, v), 2, ParameterRangeError),
     "fwy_lower_bound-n": (lambda v: fwy_lower_bound(v, 0.25), 2, DimensionRangeError),
     "chang_bound-n": (lambda v: chang_bound(v, 0.25), 2, DimensionRangeError),
@@ -83,6 +91,31 @@ ARGUMENTS = {
     ),
     "combined_report-rho": (
         lambda r: combined_report(0.3, 0.3, r).original_rho, 0.5, ParameterRangeError
+    ),
+    "DistanceDistribution-n": (
+        lambda v: DistanceDistribution(v, (0.25, 0.5, 0.25)).n, 2, DimensionRangeError
+    ),
+    "DualDistribution-n": (
+        lambda v: DualDistribution(v, (1.0, 0.0, -0.5)).n, 2, DimensionRangeError
+    ),
+    "AvgDistanceBounds-n": (
+        lambda v: AvgDistanceBounds(v, 0.25, 0.25, 0.5, 1.5).n, 2, DimensionRangeError
+    ),
+    "LevelSums-n": (lambda v: LevelSums(v, (0.0, 0.5, 0.25)).n, 2, DimensionRangeError),
+    "FourierSpectrum-n": (
+        lambda v: FourierSpectrum(v, np.zeros(8), _CODE).n, 3, DimensionRangeError
+    ),
+    "normalize_instance-a": (
+        lambda a: normalize_instance(a, 0.6, 0.5)[0], 0.3, ParameterRangeError
+    ),
+    "hc_bounds-b": (lambda b: hc_bounds(0.3, b, 0.5), 0.5, ParameterRangeError),
+    "theorem1_bounds-a": (lambda a: theorem1_bounds(a, 0.3, 0.5), 0.2, ParameterRangeError),
+    "symmetric_bounds-a": (lambda a: symmetric_bounds(a, 0.5), 0.3, ParameterRangeError),
+    "maximal_correlation_bounds-b": (
+        lambda b: maximal_correlation_bounds(0.2, b, 0.5), 0.3, ParameterRangeError
+    ),
+    "combined_report-a": (
+        lambda a: combined_report(a, 0.5, 0.5).original_a, 0.3, ParameterRangeError
     ),
 }
 

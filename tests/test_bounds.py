@@ -247,12 +247,9 @@ class TestHcBounds:
 
     def test_coarse_config_still_valid(self, monkeypatch):
         monkeypatch.setattr(nisim.bounds, "_GRID_POINTS", 9)
-        monkeypatch.setattr(nisim.bounds, "_REFINE_SWEEPS", 40)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lb, ub = hc_bounds(0.25, 0.25, 0.5)
-            # unequal densities take the three-dimensional search the settings shrink
-            skew_lb, skew_ub = hc_bounds(0.125, 0.25, 0.5)
+        lb, ub = hc_bounds(0.25, 0.25, 0.5)
+        # unequal densities take the three-dimensional search the setting shrinks
+        skew_lb, skew_ub = hc_bounds(0.125, 0.25, 0.5)
         assert lb <= 0.140625 + 1e-9 <= ub + 2e-1
         assert ub >= 0.140625 - 1e-9
         assert skew_lb <= 0.0078125 and skew_ub >= 0.0703125
@@ -346,6 +343,10 @@ class TestCertificateFunctional:
 
 # hc_bounds(a, b, rho) as the scalar pattern search computed it before the
 # grid and the refinement shared one array evaluator: (a, b, rho, lb, ub).
+# The last two rows hold the values of the search in log coordinates: the
+# first is the benchmark instance it tightened most, the second needs the
+# floor on |kappa - 1| to scale with rho^2 (a fixed floor of 1e-4 is looser
+# there by 2.9e-8).
 PINNED_HC_BOUNDS = (
     (0.02, 0.02, 0.1, 0.00016840544230889548, 0.000811997394080575),
     (0.02, 0.02, 0.5, 0.0, 0.005384003391949923),
@@ -367,35 +368,21 @@ PINNED_HC_BOUNDS = (
     (0.5, 0.5, 0.9, 0.024999999983285042, 0.4750000000176019),
     (0.125, 0.25, 0.5, 0.001470536046920197, 0.09023141246561396),
     (0.0625, 0.5, 0.3, 0.011106214150045556, 0.051393785849954444),
+    (0.25164401947216597, 0.3962280496304686, 0.5456409981732933,
+     0.01337674584982901, 0.2062690001942782),
+    (0.3, 0.99, 1e-6, 0.29699998689586576, 0.29700001310411034),
 )
-# Calls in the panel above whose sweep budget ran out: only (1/8, 1/4, 0.5).
-# Equal densities take the ridge search, which has no sweep budget.
-PINNED_BUDGET_WARNINGS = 1
 
 
 class TestPinnedHcBounds:
     def test_matches_or_tightens_pinned_values(self):
-        warned = 0
         for a, b, rho, old_lb, old_ub in PINNED_HC_BOUNDS:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 lb, ub = hc_bounds(a, b, rho)
-            warned += len(caught)
             low, high = achievable_pair_values(a, b, rho)
             assert abs(lb - old_lb) <= 1e-9 or old_lb < lb <= low + 1e-12, (a, b, rho, lb)
             assert abs(ub - old_ub) <= 1e-9 or high - 1e-12 <= ub < old_ub, (a, b, rho, ub)
-        assert warned == PINNED_BUDGET_WARNINGS
-
-    def test_budget_warning_names_instance_side_and_branch(self, monkeypatch):
-        monkeypatch.setattr(nisim.bounds, "_REFINE_SWEEPS", 5)
-        with pytest.warns(RuntimeWarning) as caught:
-            hc_bounds(0.25, 0.3, 0.5)
-        assert len(caught) == 1
-        text = str(caught[0].message)
-        assert "sweep budget at densities (0.25, 0.3), rho 0.5" in text
-        assert "the upper bound's winning start (kappa" in text
-        assert "the lower bound's winning start (kappa" in text
-        assert "last improved by" in text
 
 
 class TestRidgeSearch:
@@ -405,9 +392,7 @@ class TestRidgeSearch:
         for a in np.geomspace(0.005, 0.5, 40)[::4].tolist():
             for rho in (0.05, 0.3, 0.6, 0.9, 0.99):
                 lb, ub = hc_bounds(a, a, rho)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    (upper, *_), (lower, *_) = _hc_search(a, a, rho)
+                upper, lower = _hc_search(a, a, rho)
                 search_ub = min(_certify(*upper, a, a, rho, 1.0), a)
                 search_lb = min(max(_certify(*lower, a, a, rho, -1.0), 0.0), a)
                 assert ub <= search_ub + 1e-9, (a, rho, ub, search_ub)
@@ -456,9 +441,7 @@ class TestRidgeSearch:
             return scores(u, v, z, branch, sign, a, b, rho)
 
         monkeypatch.setattr(nisim.bounds, "_scores", spy)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            hc_bounds(0.2, 0.3, 0.5)
+        hc_bounds(0.2, 0.3, 0.5)
         assert len(scored) == 2
         for kappa in scored:
             assert np.all((kappa >= nisim.bounds._KAPPA_MIN) & (kappa <= nisim.bounds._KAPPA_MAX))
@@ -489,8 +472,9 @@ class TestCombinedReport:
                             warnings.simplefilter("error")
                             rep = combined_report(*pair, rho)
                         assert rep.combined_lb == rep.combined_ub == forced, (pair, rho)
-                        assert any("degenerate marginal" in w for w in rep.warnings)
-                        assert not any("sweep budget" in w for w in rep.warnings)
+                        assert rep.warnings == (
+                            "degenerate marginal: agreement probability is determined exactly",
+                        )
 
     def test_independent_case_pins_the_answer(self):
         rep = combined_report(0.3, 0.8, 0.0)
