@@ -185,23 +185,24 @@ def _certificate(u, v, k, a, b, rho):
     as ((E_s - a e_s) + (E_t - b e_t) + E_s E_t)/(e_s e_t) with E = F - 1 and
     e = s - 1 or t - 1 taken from expm1/log1p, so no O(eps) difference is
     formed by subtracting near-equal large terms; the naive form loses eight
-    digits near the excluded band.  ``u``, ``v`` and ``k`` share one shape;
-    the two power terms are computed together along a new leading axis.
-    The value is nan at kappa' = 0, where the point counts as infeasible.
+    digits near the excluded band.  Each side is computed on its own broadcast
+    shape, that of (u, k) or of (v, k), and the two are combined once.  The
+    value is nan at kappa' = 0, where the point counts as infeasible.
     """
-    x = np.array((u, v))
-    p = np.array((1.0 + rho * rho / (k - 1.0), k))
-    d = np.array((a, b)).reshape((2,) + (1,) * np.ndim(u))
-    with np.errstate(all="ignore"):
-        y = p * x
+    def side(x, p, d):
         # ln(d e^y + 1 - d): past y = 700 the exponential would overflow, and
         # the excess y - 700 adds to the logarithm up to a relative e^-700/d.
+        y = p * x
         big_e = np.expm1(
             (np.log1p(d * np.expm1(np.minimum(y, 700.0))) + np.maximum(y - 700.0, 0.0)) / p
         )
         eps = np.expm1(x)
-        head = big_e - d * eps
-        return (head[0] + head[1] + big_e[0] * big_e[1]) / (eps[0] * eps[1])
+        return big_e - d * eps, big_e, eps
+
+    with np.errstate(all="ignore"):
+        head_s, big_s, eps_s = side(u, 1.0 + rho * rho / (k - 1.0), a)
+        head_t, big_t, eps_t = side(v, k, b)
+        return (head_s + head_t + big_s * big_t) / (eps_s * eps_t)
 
 
 def _scores(u, v, z, branch, sign, a, b, rho):
@@ -226,13 +227,15 @@ def _hc_search(a, b, rho):
 
     The grid is scored once per kappa branch, over the layers whose kappa lies
     in [_KAPPA_MIN, _KAPPA_MAX], each cell for the side it lies on; the best
-    two cells of each side and branch start a pattern search.  Each start
-    moves in (log|u|, log|v|, z) within its own quadrant of (u, v), over the
-    full ``_STENCIL``, and within a box: |u| and |v| in [_EXCLUSION,
-    _RIDGE_LIMIT], and |kappa - 1| at least rho^2/(_KAPPA_MAX - 1), so that
-    kappa' is capped like kappa.  All starts move together, each with its own
-    step, and one ``_scores`` call per sweep evaluates every move of every
-    start.  A start stops when its step falls to ``_REL_TOL``.
+    two cells of each side and branch start a pattern search.  The grid is
+    passed as open axes, so each side of the certificate is evaluated once
+    per axis point, not once per cell.  Each start moves in (log|u|, log|v|,
+    z) within its own quadrant of (u, v), over the full ``_STENCIL``, and
+    within a box: |u| and |v| in [_EXCLUSION, _RIDGE_LIMIT], and |kappa - 1|
+    at least rho^2/(_KAPPA_MAX - 1), so that kappa' is capped like kappa.  All
+    starts move together, each with its own step, and one ``_scores`` call
+    per sweep evaluates every move of every start.  A start stops when its
+    step falls to ``_REL_TOL``.
 
     Returns the upper and then the lower point (u, v, kappa).  ``hc_bounds``
     uses it for unequal densities; at equal densities the tests use it as the
@@ -245,15 +248,16 @@ def _hc_search(a, b, rho):
         z_hi = math.log(_KAPPA_MAX - 1.0) if branch > 0 else math.log(1.0 - _KAPPA_MIN)
         z = np.linspace(math.log(1e-4), z_hi, _GRID_POINTS)
         kappa = 1.0 + branch * np.exp(z)
-        z = z[(kappa >= _KAPPA_MIN) & (kappa <= _KAPPA_MAX)]
-        cells = np.meshgrid(axis, axis, z, indexing="ij")
+        grid = (axis, axis, z[(kappa >= _KAPPA_MIN) & (kappa <= _KAPPA_MAX)])
+        cells = np.meshgrid(*grid, indexing="ij", sparse=True)
         side = np.sign(cells[0] * cells[1] * branch)
         score = _scores(*cells, branch, side, a, b, rho)
         for sign in (1.0, -1.0):
             flat = np.where(side == sign, score, np.inf).ravel()
             for idx in np.argpartition(flat, 1)[:2]:
                 if np.isfinite(flat[idx]):
-                    starts.append((sign, branch, flat[idx], [c.flat[idx] for c in cells]))
+                    cell = np.unravel_index(idx, score.shape)
+                    starts.append((sign, branch, flat[idx], [g[i] for g, i in zip(grid, cell)]))
     if {start[0] for start in starts} != {1.0, -1.0}:
         raise ConvergenceError(
             f"no feasible certificate grid cell for densities ({a}, {b}) at rho {rho}"
@@ -266,9 +270,6 @@ def _hc_search(a, b, rho):
     # The box in (log|u|, log|v|, z), shaped to broadcast over (start, move).
     low = np.log([_EXCLUSION, _EXCLUSION, rho * rho / (_KAPPA_MAX - 1.0)])[:, None, None]
     high = np.log([_RIDGE_LIMIT, _RIDGE_LIMIT, np.inf])[:, None, None]
-    # Per move, so that every array of a sweep has the shape (start, move).
-    moves = _STENCIL.shape[-1]
-    sign_m, branch_m = np.repeat(sign[:, None], moves, 1), np.repeat(branch[:, None], moves, 1)
     step = np.full(len(starts), 0.7)
     rows = np.arange(len(starts))
     # There is no sweep cap, yet the loop ends.  A start only moves to a point
@@ -279,7 +280,7 @@ def _hc_search(a, b, rho):
     while (live := step > _REL_TOL).any():
         cand = np.clip(pos[:, :, None] + _STENCIL * step[:, None], low, high)
         uv = quadrant[:, :, None] * np.exp(cand[:2])
-        score = _scores(*uv, cand[2], branch_m, sign_m, a, b, rho)
+        score = _scores(*uv, cand[2], branch[:, None], sign[:, None], a, b, rho)
         pick = score.argmin(1)
         found = score[rows, pick]
         moved = live & (found < best - 1e-15)
@@ -309,9 +310,8 @@ def _ridge_search(a, b, rho):
     axis = np.linspace(-_RIDGE_LIMIT, _RIDGE_LIMIT, _RIDGE_POINTS)
     axis = axis[np.abs(axis) >= _EXCLUSION]
     sign = np.array([[1.0], [-1.0]])
-    u = np.broadcast_to(axis, (2, axis.size))
-    k = np.broadcast_to(1.0 + sign * rho, u.shape)
-    score = sign * _certificate(u, u, k, a, b, rho)
+    k = 1.0 + sign * rho
+    score = sign * _certificate(axis, axis, k, a, b, rho)
     score = np.where(np.isfinite(score), score, np.inf)
     points = []
     for side, kappa, row in zip(sign[:, 0], k[:, 0], score):

@@ -22,6 +22,7 @@ from .errors import (
     NumericalConsistencyError,
     ParameterRangeError,
     as_integer,
+    as_real,
 )
 from .fourier import fwht, level_sums, spectrum, xor_convolve
 
@@ -240,6 +241,7 @@ def fwy_lower_bound(n: int, a: float) -> float:
     """Lower bound n/2 - 1/(4a) on the average self-distance of a code of
     density a <= 1/2, clamped at zero."""
     n = as_integer("dimension", n, 1, error=DimensionRangeError)
+    a = as_real("density", a, 0.0, 1.0)
     if not 0.0 < a <= 0.5:
         raise ParameterRangeError(f"density must be in (0, 1/2], got {a}")
     return max(0.0, n / 2.0 - 1.0 / (4.0 * a))
@@ -249,17 +251,17 @@ def cross_distance_bounds(n: int, a: float, b: float) -> AvgDistanceBounds:
     """Two-sided bound n/2 -+ sqrt((a ^ ab)(b ^ bb))/(4ab) on the average
     distance between codes of densities a and b, clamped to [0, n]."""
     n = as_integer("dimension", n, 1, error=DimensionRangeError)
+    a, b = as_real("density", a, 0.0, 1.0), as_real("density", b, 0.0, 1.0)
     if not (0.0 < a <= 1.0 and 0.0 < b <= 1.0):
         raise ParameterRangeError(f"densities must be in (0, 1], got ({a}, {b})")
     dev = math.sqrt(min(a, 1.0 - a) * min(b, 1.0 - b)) / (4.0 * a * b)
-    return AvgDistanceBounds(
-        n, a, b, max(0.0, n / 2.0 - dev), min(float(n), n / 2.0 + dev)
-    )
+    return AvgDistanceBounds(n, a, b, max(0.0, n / 2.0 - dev), min(float(n), n / 2.0 + dev))
 
 
 def chang_bound(n: int, a: float) -> float:
     """Lower bound n/2 - ln(1/a) on the average self-distance, clamped at zero."""
     n = as_integer("dimension", n, 1, error=DimensionRangeError)
+    a = as_real("density", a, 0.0, 1.0)
     if not 0.0 < a <= 1.0:
         raise ParameterRangeError(f"density must be in (0, 1], got {a}")
     return max(0.0, n / 2.0 + math.log(a))
@@ -315,22 +317,21 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 def psi(a: float) -> float:
     """Infimum over t > 0 of the variational functional whose clamped gap from
     n/2 lower-bounds average self-distance; always at most ln(1/a)."""
+    a = as_real("density", a, 0.0, 1.0)
     if not 0.0 < a < 1.0:
         raise ParameterRangeError(f"density must be in (0, 1), got {a}")
     f = lambda u: _psi_objective(a, u)
     grid = np.linspace(-14.0, 14.0, 57)
     vals = [f(u) for u in grid]
     i = int(np.argmin(vals))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(len(grid) - 1, i + 1)]
+    lo, hi = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
     return min(min(vals), _golden_min(f, lo, hi, 1e-10)[0])
 
 
 def psi_bound(n: int, a: float) -> float:
     """Sharper companion of :func:`chang_bound`: n/2 - psi(a), clamped at zero."""
     n = as_integer("dimension", n, 1, error=DimensionRangeError)
+    a = as_real("density", a, 0.0, 1.0)
     if not 0.0 < a <= 1.0:
         raise ParameterRangeError(f"density must be in (0, 1], got {a}")
-    if a == 1.0:
-        return n / 2.0
-    return max(0.0, n / 2.0 - psi(a))
+    return n / 2.0 if a == 1.0 else max(0.0, n / 2.0 - psi(a))

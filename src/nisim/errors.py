@@ -8,12 +8,11 @@ Two rules check scalar arguments.  Every integer argument of the public API
 permutation entries, flip masks, seeds) goes through :func:`as_integer`, and
 every correlation through :func:`as_real`.  Each returns the value as a plain
 Python ``int`` or ``float``, which the caller uses from then on, so a numpy
-scalar is accepted and stored as the builtin type.  A bool, a string, or a non-integral number
-where an integer is due is refused with the error type the caller names.
-The densities of the ``bounds`` functions and the target of ``dyadic_round``
-go through :func:`as_real` on [0, 1], and each ``bounds`` function then
-checks its own, narrower range.  Other densities and word lists (coerced
-word by word in ``make_code``) keep their own checks.
+scalar is accepted and stored as the builtin type.  A bool, a string, or a
+non-integral number where an integer is due is refused with the error type
+the caller names.  Every density and the target of ``dyadic_round`` go
+through :func:`as_real` on [0, 1], and then the function checks its own,
+narrower range; ``make_code`` coerces word lists word by word.
 """
 
 import math

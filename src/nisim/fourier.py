@@ -10,7 +10,7 @@ directly (see :func:`theta_from_levels`).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

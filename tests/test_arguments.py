@@ -25,6 +25,7 @@ from nisim import (
     collision_prob,
     combined_report,
     construction_value,
+    cross_distance_bounds,
     distance_distribution,
     distance_moment,
     dyadic_round,
@@ -35,6 +36,7 @@ from nisim import (
     make_code,
     maximal_correlation_bounds,
     normalize_instance,
+    psi,
     psi_bound,
     subcube,
     symmetric_bounds,
@@ -117,6 +119,13 @@ ARGUMENTS = {
     "combined_report-a": (
         lambda a: combined_report(a, 0.5, 0.5).original_a, 0.3, ParameterRangeError
     ),
+    "fwy_lower_bound-a": (lambda a: fwy_lower_bound(4, a), 0.25, ParameterRangeError),
+    "cross_distance_bounds-a": (
+        lambda a: cross_distance_bounds(4, a, 0.5).a, 0.25, ParameterRangeError
+    ),
+    "chang_bound-a": (lambda a: chang_bound(4, a), 0.25, ParameterRangeError),
+    "psi-a": (psi, 0.25, ParameterRangeError),
+    "psi_bound-a": (lambda a: psi_bound(4, a), 0.25, ParameterRangeError),
 }
 
 

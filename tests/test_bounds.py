@@ -317,6 +317,24 @@ class TestCertificateFunctional:
         got = float(_certificate(u, v, k, a, b, rho))
         assert abs(got - want) <= 1e-9 * abs(want)
 
+    def test_open_axes_match_the_dense_grid(self):
+        """Each side is computed on its own broadcast shape, so open axes give
+        the dense grid's values element for element, across the excluded
+        band (|u| = 2e-4), the overflow branch (kappa' u and kappa v past 700)
+        and kappa' = 0 (kappa = 1 - rho^2), where the value is nan."""
+        a, b, rho = 0.25, 0.3, 0.5
+        x = np.array([-3.0, -2e-4, 2e-4, 0.9, 2.0])
+        k = np.array([0.4, 0.75, 1.0005, 3.0, 60.0, 1e3])
+        u, v, kk = np.meshgrid(x, x, k, indexing="ij", sparse=True)
+        got = _certificate(u, v, kk, a, b, rho)
+        dense = _certificate(*np.meshgrid(x, x, k, indexing="ij"), a, b, rho)
+        assert got.shape == dense.shape == (5, 5, 6)
+        assert np.array_equal(got, dense, equal_nan=True)
+        assert np.isnan(got[:, :, 1]).all() and np.isfinite(np.delete(got, 1, axis=2)).all()
+        for i, j, m in ((2, 1, 3), (4, 3, 2), (3, 4, 5), (0, 2, 0)):
+            want = float(naive_certificate_60_digits(x[i], x[j], k[m], a, b, rho))
+            assert abs(got[i, j, m] - want) <= 1e-9 * abs(want), (x[i], x[j], k[m])
+
     def test_certified_value_is_rounded_outward(self, rng):
         """Up on the upper side and down on the lower side of the 60-digit
         value, by at most a few units in the last place."""
@@ -383,6 +401,37 @@ class TestPinnedHcBounds:
             low, high = achievable_pair_values(a, b, rho)
             assert abs(lb - old_lb) <= 1e-9 or old_lb < lb <= low + 1e-12, (a, b, rho, lb)
             assert abs(ub - old_ub) <= 1e-9 or high - 1e-12 <= ub < old_ub, (a, b, rho, ub)
+
+
+# hc_bounds(a, b, rho) to the last bit, as the search computed it before the
+# certificate grid was scored on its open axes: (a, b, rho, lb, ub).  The first
+# six rows are normalized `perfbench` `bounds` instances whose winning points
+# sit on the box's edges: upper sides at kappa = 1e3 (rows 1, 2 and 5) and at
+# kappa = 1e-3 (rows 3, 4 and 6), lower sides at |u| = 40 (rows 5 and 6).  The
+# last row is the call whose losing start creeps along the kappa' cap longest.
+# Searching the kappa edges through their limits (ROADMAP item 9) moves these
+# values by design, and re-records this table.
+EXACT_HC_BOUNDS = (
+    (0.23070304619078003, 0.3041629592130009, 0.7471068907925238,
+     0.00015267712213465503, 0.20652640336402636),
+    (0.06806660949859354, 0.4037796141369312, 0.2247363977785426,
+     0.012232653445417173, 0.04490614220735064),
+    (0.11073047504981604, 0.3774064427274264, 0.551371380490387,
+     0.0018459945102828716, 0.10055451933860712),
+    (0.15979275856144803, 0.49040500632894535, 0.27943433388505245,
+     0.038503397969296374, 0.11868809138249159),
+    (0.16137185944021107, 0.2722473184725097, 0.7606643079616573,
+     0.0, 0.1524479480219657),
+    (0.01515999847426323, 0.1851961499848891, 0.5941388575040925,
+     0.0, 0.014491052003669886),
+    (0.3, 0.7, 1 - 1e-9, 1.8059592886386734e-10, 0.3),
+)
+
+
+class TestExactHcBounds:
+    @pytest.mark.parametrize("a, b, rho, lb, ub", EXACT_HC_BOUNDS)
+    def test_bit_exact(self, a, b, rho, lb, ub):
+        assert hc_bounds(a, b, rho) == (lb, ub)
 
 
 class TestRidgeSearch:
