@@ -90,10 +90,10 @@ class BinaryCode:
         """The stored words, sorted, as a read-only uint64 array (not a copy)."""
         return self._array
 
-    def indicator(self, off: float = 0.0) -> np.ndarray:
-        """1.0 at each of the code's words and ``off`` at the rest of the 2^n."""
-        table = np.full(1 << self.n, off)
-        table[self._array.view(np.int64)] = 1.0
+    def indicator(self, off: int = 0) -> np.ndarray:
+        """1 at each of the code's words and ``off`` at the rest of the 2^n, as int8."""
+        table = np.full(1 << self.n, off, dtype=np.int8)
+        table[self._array.view(np.int64)] = 1
         return table
 
     def __contains__(self, word) -> bool:
@@ -127,8 +127,9 @@ def make_code(n: int, words) -> BinaryCode:
     if not isinstance(words, (list, tuple, np.ndarray)):
         words = list(words)
     try:
-        # dtype=int64 applies int() to each Python word; an array keeps its dtype.
-        arr = np.array(words, dtype=None if isinstance(words, np.ndarray) else np.int64)
+        # fromiter applies int() to each Python word; an array keeps its dtype.
+        arr = (np.array(words) if isinstance(words, np.ndarray)
+               else np.fromiter(words, np.int64, len(words)))
     except (OverflowError, TypeError, ValueError):
         arr = None
     if arr is not None and arr.ndim == 1 and arr.size and arr.dtype.kind in "biu":

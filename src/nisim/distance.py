@@ -24,7 +24,7 @@ from .errors import (
     as_integer,
     as_real,
 )
-from .fourier import fwht, level_sums, spectrum, xor_convolve
+from .fourier import _weights, fwht, level_sums, spectrum, xor_convolve
 
 PAIRWISE_LIMIT = 1 << 26
 _CHARSUM_CHECK_DIM = 10
@@ -95,10 +95,8 @@ def _pairwise_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
 
 
 def _transform_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
-    size = 1 << a.n
     conv = xor_convolve(a.indicator(), b.indicator())
-    weights = np.bitwise_count(np.arange(size, dtype=np.int64))
-    raw = np.bincount(weights, weights=conv, minlength=a.n + 1)
+    raw = np.bincount(_weights(a.n), weights=conv, minlength=a.n + 1)
     counts = np.rint(raw)
     # Bins off by more than a quarter in opposite directions could still round
     # to counts with the right total, so the margin is checked per bin.
@@ -181,10 +179,8 @@ def dual_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DualDistrib
     q = [1.0] + [sums.s[k] / scale for k in range(1, a.n + 1)]
 
     if a.n <= _CHARSUM_CHECK_DIM:
-        size = 1 << a.n
         prods = fwht(a.indicator()) * fwht(b.indicator())
-        weights = np.bitwise_count(np.arange(size, dtype=np.int64))
-        direct = np.bincount(weights, weights=prods, minlength=a.n + 1) / (a.size * b.size)
+        direct = np.bincount(_weights(a.n), weights=prods, minlength=a.n + 1) / (a.size * b.size)
         err = float(np.max(np.abs(direct - np.array(q))))
         if err > 1e-9 * max(1.0, float(np.max(np.abs(direct)))):
             raise NumericalConsistencyError(

@@ -49,7 +49,7 @@ from .errors import (
     as_integer,
     as_real,
 )
-from .fourier import fwht
+from .fourier import _transform, _weights, fwht
 from .model import DsbsInstance, collision_prob
 
 RHO_CERTIFICATION_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -260,7 +260,8 @@ def _alternate(g_hat: np.ndarray, a: np.ndarray, b: np.ndarray):
     for step in itertools.count():
         other = np.zeros(g_hat.shape[0])
         other[sides[1 - side]] = 1.0
-        scores = fwht(fwht(other) * g_hat)
+        scores = _transform(other)
+        scores = _transform(np.multiply(scores, g_hat, out=scores))
         current = float(scores[sides[side]].sum())
         top = _top(scores, sides[side].shape[0])
         if float(scores[top].sum()) > current + 1e-15:
@@ -321,7 +322,7 @@ def local_search(
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     sign = 1.0 if direction == "max" else -1.0
-    weight = np.bitwise_count(np.arange(size))
+    weight = _weights(n)
     g_hat = fwht(np.array(DsbsInstance(rho, n).pair_weights())[weight]) * (sign / size)
     starts = []
     if m & (m - 1) == 0 and n_second & (n_second - 1) == 0:

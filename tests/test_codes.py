@@ -156,6 +156,39 @@ class TestConstruction:
             make_code(2, words)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("container", [list, tuple])
+    @pytest.mark.parametrize(
+        "n, words, outcome",
+        [
+            (4, [1.5], (1,)),
+            (4, [True], (1,)),
+            (4, ["3"], (3,)),
+            (4, [b"3"], (3,)),
+            (4, [np.int32(3)], (3,)),
+            (4, [3, 1.5, "2", b"0", True], (0, 1, 2, 3)),
+            (4, [-1], (WordRangeError, "word -1 out of range for dimension 4")),
+            (4, [1 << 63], (WordRangeError, f"word {1 << 63} out of range for dimension 4")),
+            (64, [1 << 63, 0], (0, 1 << 63)),
+            (4, [None], (TypeError, "not 'NoneType'")),
+            (4, ["a"], (ValueError, "invalid literal for int() with base 10: 'a'")),
+            (4, [[1, 2]], (TypeError, "not 'list'")),
+            (4, [], (EmptyCodeError, "a code needs at least one word")),
+        ],
+        ids=["float", "bool", "str", "bytes", "int32", "mixed", "negative", "past-int64",
+             "past-int64-n64", "none", "non-numeric-str", "nested", "empty"],
+    )
+    def test_make_code_coercion_table(self, container, n, words, outcome):
+        """Each word is coerced as int() coerces it, whether make_code takes
+        its array path or falls back to the word-by-word check."""
+        if isinstance(outcome[0], type):
+            with pytest.raises(outcome[0]) as info:
+                make_code(n, container(words))
+            assert str(info.value).endswith(outcome[1])
+        else:
+            code = make_code(n, container(words))
+            assert code.words == outcome
+            assert code == BinaryCode(n, tuple(sorted(set(map(int, words)))))
+
     def test_word_array_at_64_bits(self):
         words = [0, 1, 1 << 63, (1 << 64) - 1]
         code = make_code(64, words[::-1])
@@ -195,6 +228,7 @@ class TestRepresentation:
     def test_indicator_marks_the_words(self):
         code = make_code(3, [6, 1])
         assert code.indicator().tolist() == [0, 1, 0, 0, 0, 0, 1, 0]
+        assert code.indicator().dtype == np.int8
         assert code.indicator(-1.0).tolist() == [-1, 1, -1, -1, -1, -1, 1, -1]
 
     def test_codes_are_immutable(self):

@@ -20,7 +20,7 @@ from nisim import (
     theta_from_levels,
 )
 from nisim.errors import DimensionMismatchError, ParameterRangeError
-from nisim.fourier import _hadamard
+from nisim.fourier import _hadamard, _transform
 
 from conftest import radix2_fwht, random_code
 
@@ -42,6 +42,27 @@ class TestFwht:
         values = np.array([3.0, 1.0, 4.0, 1.0])
         fwht(values)
         assert values.tolist() == [3.0, 1.0, 4.0, 1.0]
+
+    @pytest.mark.parametrize("n", [3, 8, 12, 17])
+    @pytest.mark.parametrize("kind", ["float64", "int", "list"])
+    def test_result_is_a_new_array(self, rng, n, kind):
+        """1, 2, 3 and 4 passes: the input is never written and no result
+        shares memory with the input or with an earlier result."""
+        bits = rng.integers(-3, 4, 1 << n)
+        values = {"float64": bits.astype(np.float64), "int": bits, "list": bits.tolist()}[kind]
+        before = np.array(values, dtype=np.float64)
+        first, second = fwht(values), fwht(values)
+        assert np.array_equal(np.asarray(values), before)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        if kind != "list":
+            assert not np.shares_memory(first, values)
+            assert not np.shares_memory(second, values)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 6, 10, 11, 16, 17])
+    def test_in_place_kernel_matches_fwht(self, rng, n):
+        values = rng.normal(size=1 << n)
+        assert _transform(values.copy()).tobytes() == fwht(values).tobytes()
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ParameterRangeError):
