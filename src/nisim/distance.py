@@ -10,6 +10,7 @@ module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .errors import (
     as_integer,
     as_real,
 )
-from .fourier import _weights, fwht, level_sums, spectrum, xor_convolve
+from .fourier import _weights, fwht
 
 PAIRWISE_LIMIT = 1 << 26
 _CHARSUM_CHECK_DIM = 10
@@ -94,28 +95,56 @@ def _pairwise_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
     return counts
 
 
-def _transform_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
-    conv = xor_convolve(a.indicator(), b.indicator())
-    raw = np.bincount(_weights(a.n), weights=conv, minlength=a.n + 1)
-    counts = np.rint(raw)
-    # Bins off by more than a quarter in opposite directions could still round
-    # to counts with the right total, so the margin is checked per bin.
-    margin = float(np.max(np.abs(raw - counts)))
-    if margin > 0.25:
-        raise NumericalConsistencyError(
-            f"transform distance counts are {margin:.3g} from the nearest integers"
+def _level_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Products of the two tables' transforms, summed by mask weight.
+
+    For tables with entries in {-1, 0, 1}, Parseval bounds the absolute
+    products by 4^n in total, so every partial sum is an exact integer below
+    2^53 whatever its order (n <= ``MAX_TRANSFORM_DIM``).
+    """
+    prods = fwht(x)
+    prods *= fwht(y)
+    return np.bincount(_weights(x.shape[0].bit_length() - 1), weights=prods)
+
+
+@functools.cache
+def _krawtchouk(n: int) -> tuple[tuple[int, ...], ...]:
+    """K[d][k] = sum over j of (-1)^j C(k, j) C(n - k, d - j): the sum of
+    (-1)^popcount(mask & z) over the words z of weight d, for a mask of weight k."""
+    return tuple(
+        tuple(
+            sum((-1) ** j * math.comb(k, j) * math.comb(n - k, d - j) for j in range(d + 1))
+            for k in range(n + 1)
         )
-    return counts.astype(np.int64)
+        for d in range(n + 1)
+    )
+
+
+def _transform_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
+    """Distance counts c_d = sum over k of K[d][k] L_k / 2^n, from the level
+    sums L_k of the two indicators' transform products, in integers."""
+    levels = _level_products(a.indicator(), b.indicator()).tolist()
+    if not all(v.is_integer() for v in levels):
+        raise NumericalConsistencyError(f"transform level sums {levels} are not all integers")
+    sums = [int(v) for v in levels]
+    scaled = [sum(kd * lk for kd, lk in zip(row, sums)) for row in _krawtchouk(a.n)]
+    if any(c % (1 << a.n) for c in scaled):
+        raise NumericalConsistencyError(
+            f"transform distance counts {scaled} are not all multiples of 2^{a.n}"
+        )
+    return np.array([c >> a.n for c in scaled], dtype=np.int64)
 
 
 def distance_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DistanceDistribution:
     """Distribution of Hamming distance over all pairs in A x B (B defaults to A).
 
-    Pairs are counted one by one when that is cheaper than an XOR
-    convolution, which costs about as much as 2 n 2^n pairs and, for its fixed
+    Pairs are counted one by one when that is cheaper than the transform
+    path, which costs about as much as 2 n 2^n pairs and, for its fixed
     overhead, at least as much as 2^15 pairs; past ``PAIRWISE_LIMIT`` pairs
-    never.  The convolution needs the transform-feasible dimension range.
-    Both paths give exact counts.
+    never.  The transform path needs the transform-feasible dimension range:
+    it sums the products of the two indicators' transforms by mask weight and
+    maps those n + 1 integer level sums to counts by the Krawtchouk
+    (MacWilliams) transform, in exact integers.  Both paths give exact counts.
     """
     if b is None:
         b = a
@@ -163,8 +192,11 @@ def dual_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DualDistrib
     """Weight-aggregated products of the two codes' character sums, scaled so
     the weight-0 entry is 1.
 
-    Computed from the transform spectra; for small dimensions the direct
-    character-sum definition is evaluated as well and the two must agree.
+    Computed from the level sums of the +-1 indicators' transform products,
+    divided by 4 |A| |B|: the same bits as the level sums of the two spectra,
+    whose coefficients are dyadic.  For small dimensions the character-sum
+    definition, from the 0/1 indicators' transforms, is evaluated as well and
+    the two must agree.
     """
     if b is None:
         b = a
@@ -174,13 +206,11 @@ def dual_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DualDistrib
         raise DimensionRangeError(
             f"dual distribution supports dimensions up to {MAX_TRANSFORM_DIM}, got {a.n}"
         )
-    sums = level_sums(spectrum(a), spectrum(b))
-    scale = 4.0 * a.density * b.density
-    q = [1.0] + [sums.s[k] / scale for k in range(1, a.n + 1)]
+    sums = _level_products(a.indicator(-1), b.indicator(-1))
+    q = [1.0] + (sums[1:] / (4 * a.size * b.size)).tolist()
 
     if a.n <= _CHARSUM_CHECK_DIM:
-        prods = fwht(a.indicator()) * fwht(b.indicator())
-        direct = np.bincount(_weights(a.n), weights=prods, minlength=a.n + 1) / (a.size * b.size)
+        direct = _level_products(a.indicator(), b.indicator()) / (a.size * b.size)
         err = float(np.max(np.abs(direct - np.array(q))))
         if err > 1e-9 * max(1.0, float(np.max(np.abs(direct)))):
             raise NumericalConsistencyError(

@@ -94,13 +94,6 @@ def _transform(values: np.ndarray) -> np.ndarray:
     return src
 
 
-def xor_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(f * g)[x] = sum over y of f[y] g[x ^ y], through the transform."""
-    conv = fwht(f)
-    conv = _transform(np.multiply(conv, fwht(g), out=conv))
-    return np.divide(conv, conv.shape[0], out=conv)
-
-
 @dataclass(frozen=True, eq=False)
 class FourierSpectrum:
     """Expectation-normalized character coefficients of a code's +-1 indicator.

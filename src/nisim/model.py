@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .codes import MAX_TRANSFORM_DIM, BinaryCode
-from .distance import DistanceDistribution, distance_distribution
+from .distance import DistanceDistribution, _level_products, distance_distribution
 from .errors import (
     DimensionMismatchError,
     DimensionRangeError,
@@ -21,7 +21,7 @@ from .errors import (
     as_integer,
     as_real,
 )
-from .fourier import level_sums, spectrum, theta_from_levels
+from .fourier import LevelSums, theta_from_levels
 
 _PATH_TOL = 1e-9
 _CLAMP_SLACK = 1e-12
@@ -83,7 +83,9 @@ def collision_prob(a: BinaryCode, b: BinaryCode, rho: float) -> float:
 
     Summed through the distance distribution; checked against the independent
     spectral route (mean product plus correlation-weighted level sums) whenever
-    the transform is feasible.  The two must agree to 1e-9.
+    the transform is feasible.  Its level sums are those of the +-1
+    indicators' transform products over 4^n, which are the same bits as the
+    level sums of the two spectra.  The two routes must agree to 1e-9.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"code dimensions differ: {a.n} vs {b.n}")
@@ -93,7 +95,8 @@ def collision_prob(a: BinaryCode, b: BinaryCode, rho: float) -> float:
 
     if n <= MAX_TRANSFORM_DIM:
         dens = a.density * b.density
-        theta = theta_from_levels(level_sums(spectrum(a), spectrum(b)), rho)
+        sums = _level_products(a.indicator(-1), b.indicator(-1)) / 4**n
+        theta = theta_from_levels(LevelSums(n, tuple(sums.tolist())), rho)
         q_spec = dens + theta
         if abs(q - q_spec) > _PATH_TOL:
             raise NumericalConsistencyError(

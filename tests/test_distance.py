@@ -16,6 +16,7 @@ from nisim import (
     distance_moment,
     dual_distribution,
     dual_enumerator,
+    fwht,
     fwy_lower_bound,
     hamming_ball,
     macwilliams_forward,
@@ -26,7 +27,8 @@ from nisim import (
     star,
     subcube,
 )
-from nisim.distance import _pairwise_counts, _psi_objective, _transform_counts
+from nisim.codes import MAX_TRANSFORM_DIM
+from nisim.distance import _krawtchouk, _pairwise_counts, _psi_objective, _transform_counts
 from nisim.errors import (
     DimensionMismatchError,
     DimensionRangeError,
@@ -94,21 +96,40 @@ class TestDistanceDistribution:
             assert used == [path]
             assert got.p == tuple(brute_distance_distribution(code_a, code_b))
 
-    def test_transform_rounding_margin_is_checked(self, rng, monkeypatch):
-        """Bins off by +0.6 and -0.6 round to wrong counts with the right
-        total, so only the per-bin rounding margin can catch them."""
-        convolve = nisim.distance.xor_convolve
+    def test_non_integer_level_sum_is_caught(self, rng, monkeypatch):
+        """One transform product off by 0.6 leaves its level sum off the
+        integers, which exact arithmetic never does."""
+        transforms = []
 
-        def skewed(f, g):
-            conv = convolve(f, g)
-            conv[0b11111] += 0.6  # weight 5
-            conv[0b111111] -= 0.6  # weight 6
-            return conv
+        def skewed(values):
+            out = fwht(values)
+            transforms.append(out)
+            if len(transforms) == 2:
+                out[0b11111] += 0.6 / transforms[0][0b11111]  # weight 5
+            return out
 
-        monkeypatch.setattr(nisim.distance, "xor_convolve", skewed)
+        monkeypatch.setattr(nisim.distance, "fwht", skewed)
         a = random_code(rng, 12, size=512)
         b = random_code(rng, 12, size=512)
-        with pytest.raises(NumericalConsistencyError, match="nearest integers"):
+        assert fwht(a.indicator())[0b11111] != 0
+        with pytest.raises(NumericalConsistencyError, match="not all integers"):
+            distance_distribution(a, b)
+
+    def test_indivisible_count_is_caught(self, rng, monkeypatch):
+        """Level sums off by +1 and -1 at two weights keep the count total,
+        L_0, but leave a count that 2^n does not divide."""
+        products = nisim.distance._level_products
+
+        def skewed(x, y):
+            levels = products(x, y)
+            levels[5] += 1.0
+            levels[6] -= 1.0
+            return levels
+
+        monkeypatch.setattr(nisim.distance, "_level_products", skewed)
+        a = random_code(rng, 12, size=512)
+        b = random_code(rng, 12, size=512)
+        with pytest.raises(NumericalConsistencyError, match="not all multiples"):
             distance_distribution(a, b)
 
     def test_moments(self):
@@ -131,6 +152,45 @@ class TestDistanceDistribution:
         assert abs(distance_enumerator(dist, 2.0) - 2.5) <= 1e-15
         with pytest.raises(ParameterRangeError):
             distance_enumerator(dist, -0.5)
+
+
+class TestKrawtchoukCounts:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_table_identities(self, n):
+        """K K = 2^n I, K_d(0) = C(n, d), and the columns sum to 2^n [k = 0]."""
+        K = _krawtchouk(n)
+        for d in range(n + 1):
+            for j in range(n + 1):
+                assert sum(K[d][k] * K[k][j] for k in range(n + 1)) == (d == j) << n
+            assert K[d][0] == math.comb(n, d)
+        for k in range(n + 1):
+            assert sum(K[d][k] for d in range(n + 1)) == (k == 0) << n
+
+    def test_level_sums_stay_exact_at_the_transform_limit(self):
+        """Parseval bounds the absolute transform products of two {-1, 0, 1}
+        tables by 4^n in total, which must stay below float's 2^53."""
+        assert 4**MAX_TRANSFORM_DIM < 2**53
+
+    def test_full_cube_meets_the_parseval_bound(self):
+        """The full cube's only product is 4^n, at the empty mask."""
+        n = 20
+        cube = subcube(n, 0)
+        counts = _transform_counts(cube, cube)
+        assert counts.tolist() == [math.comb(n, d) << n for d in range(n + 1)]
+
+    def test_subcube_against_a_ball(self):
+        """subcube(18, 1) is invariant under flipping any coordinate but the
+        first, so a ball word y sees it as the word y & 1 does: the pairwise
+        counts of those two single words, weighted by how many ball words
+        share them, are the full 2^17 x 63004 pairwise counts."""
+        n = 18
+        cube, ball = subcube(n, 1), hamming_ball(n, 0, 7)
+        odd = int(np.count_nonzero(ball.word_array() & np.uint64(1)))
+        pairwise = sum(
+            share * _pairwise_counts(cube, make_code(n, [word]))
+            for word, share in ((0, ball.size - odd), (1, odd))
+        )
+        assert np.array_equal(_transform_counts(cube, ball), pairwise)
 
 
 class TestDualDistribution:

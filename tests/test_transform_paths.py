@@ -1,5 +1,5 @@
 """Bits and memory of the transform paths at n = 12 (pairwise distance
-counting) and n = 16 (XOR convolution).
+counting) and n = 16 (distance counts from transform level sums).
 
 The digests pin every output byte of the spectral and distance layers, so a
 reordered sum, a shortcut that flips a signed zero or a changed rounding shows
@@ -22,7 +22,6 @@ from nisim import (
     make_code,
     spectrum,
 )
-from nisim.fourier import xor_convolve
 
 # Code sizes: the 256 x 200 pairs at n = 12 are counted one by one, the
 # 3000 x 5000 at n = 16 through the transform.
@@ -36,7 +35,6 @@ DIGESTS = {
         "distance_distribution": "7abf3553b5bc49f629e44e1ae301bdbc971e520f64f86939d8886c502ce47ab0",
         "collision_prob": "e869a87a8a99b4a9280ad2b9a96b1139b9e2988a0de3ea5a8c5d6b821b21c5a5",
         "joint_cells": "6a20bb8e14b338829f2a927ffc2889482e4db5763985c68047c2dd2785ad4a4d",
-        "xor_convolve": "37e19da90194643c70640319dcabc02bfaafad6df77580bfd7ace59a341cfd4a",
     },
     16: {
         "spectrum": "97533a33ca22b317dce3d20d97caeeea8f518615991eefdcab2efbbd2cd44725",
@@ -45,7 +43,6 @@ DIGESTS = {
         "distance_distribution": "45a2c70fa010a1ada871dd481061599349ab3d4fbd18a818169f645ce4f30f81",
         "collision_prob": "3b01cee46931c70c42322aa4fdaeb7f3f0eaf99518faf7422181036d400a7745",
         "joint_cells": "49ca1b34a409945ac788b96cedeedba8ea77b846e10fc7a8c944aa24611b8ec9",
-        "xor_convolve": "ca9c052be480b230ca522bcdad7fdf25818622a6d3e568db8ca69d8902ca9442",
     },
 }
 
@@ -65,7 +62,6 @@ def output_bytes(a, b):
         "distance_distribution": np.array(distance_distribution(a, b).p).tobytes(),
         "collision_prob": np.float64(collision_prob(a, b, 0.3)).tobytes(),
         "joint_cells": np.array([cells.q_pp, cells.q_pm, cells.q_mp, cells.q_mm]).tobytes(),
-        "xor_convolve": xor_convolve(a.indicator(), b.indicator()).tobytes(),
     }
 
 
@@ -94,10 +90,17 @@ def peak_arrays(call, n):
 
 
 # Before the in-place transform: spectrum 3.0, the transform path of
-# distance_distribution 5.0 and collision_prob 5.0 arrays.
+# distance_distribution 5.0 and collision_prob 5.0 arrays; before level sums
+# straight from the transform products, collision_prob and dual_distribution
+# 4.0.
 @pytest.mark.parametrize(
     "name, arrays",
-    [("spectrum", 2), ("distance_distribution", 3), ("collision_prob", 4)],
+    [
+        ("spectrum", 2),
+        ("distance_distribution", 3),
+        ("collision_prob", 3),
+        ("dual_distribution", 3),
+    ],
 )
 def test_peak_memory_at_n16(name, arrays):
     n = 16
@@ -106,5 +109,6 @@ def test_peak_memory_at_n16(name, arrays):
         "spectrum": lambda: spectrum(a),
         "distance_distribution": lambda: distance_distribution(a, b),
         "collision_prob": lambda: collision_prob(a, b, 0.3),
+        "dual_distribution": lambda: dual_distribution(a, b),
     }[name]
     assert peak_arrays(call, n) < arrays + 0.5
