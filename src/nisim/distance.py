@@ -139,18 +139,20 @@ def distance_distribution(a: BinaryCode, b: BinaryCode | None = None) -> Distanc
     """Distribution of Hamming distance over all pairs in A x B (B defaults to A).
 
     Pairs are counted one by one when that is cheaper than the transform
-    path, which costs about as much as 2 n 2^n pairs and, for its fixed
-    overhead, at least as much as 2^15 pairs; past ``PAIRWISE_LIMIT`` pairs
-    never.  The transform path needs the transform-feasible dimension range:
-    it sums the products of the two indicators' transforms by mask weight and
-    maps those n + 1 integer level sums to counts by the Krawtchouk
-    (MacWilliams) transform, in exact integers.  Both paths give exact counts.
+    path, which costs about as much as n 2^n / 8 pairs and, for its fixed
+    overhead, at least as much as 2^13 pairs (with one BLAS thread the
+    crossovers were 8k-47k pairs at n <= 14 and 0.1-0.2 n 2^n above); past
+    ``PAIRWISE_LIMIT`` pairs never.  The transform path needs the
+    transform-feasible dimension range: it sums the products of the two
+    indicators' transforms by mask weight and maps those n + 1 integer level
+    sums to counts by the Krawtchouk (MacWilliams) transform, in exact
+    integers.  Both paths give exact counts.
     """
     if b is None:
         b = a
     if a.n != b.n:
         raise DimensionMismatchError(f"code dimensions differ: {a.n} vs {b.n}")
-    if a.size * b.size <= min(PAIRWISE_LIMIT, max(2 * a.n << a.n, 1 << 15)):
+    if a.size * b.size <= min(PAIRWISE_LIMIT, max(a.n << a.n >> 3, 1 << 13)):
         counts = _pairwise_counts(a, b)
     else:
         if a.n > MAX_TRANSFORM_DIM:
@@ -195,8 +197,9 @@ def dual_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DualDistrib
     Computed from the level sums of the +-1 indicators' transform products,
     divided by 4 |A| |B|: the same bits as the level sums of the two spectra,
     whose coefficients are dyadic.  For small dimensions the character-sum
-    definition, from the 0/1 indicators' transforms, is evaluated as well and
-    the two must agree.
+    definition, from the 0/1 indicators' transforms, is evaluated as well;
+    above level 0 its level sums must be exactly a quarter of the others.  A
+    self pair's level sums must be nonnegative with total 4^n (Parseval).
     """
     if b is None:
         b = a
@@ -209,25 +212,13 @@ def dual_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DualDistrib
     sums = _level_products(a.indicator(-1), b.indicator(-1))
     q = [1.0] + (sums[1:] / (4 * a.size * b.size)).tolist()
 
+    # Every level sum is an exact integer, so the checks are identities.
     if a.n <= _CHARSUM_CHECK_DIM:
-        direct = _level_products(a.indicator(), b.indicator()) / (a.size * b.size)
-        err = float(np.max(np.abs(direct - np.array(q))))
-        if err > 1e-9 * max(1.0, float(np.max(np.abs(direct)))):
-            raise NumericalConsistencyError(
-                f"spectral and character-sum dual paths disagree by {err:.3e}"
-            )
-
-    if a == b:
-        if min(q) < -1e-12:
-            raise NumericalConsistencyError(
-                f"self dual distribution has entry {min(q):.3e} below -1e-12"
-            )
-        total = math.fsum(q)
-        expect = (1 << a.n) / a.size
-        if abs(total - expect) > 1e-9 * expect:
-            raise NumericalConsistencyError(
-                f"self dual distribution sums to {total!r}, expected {expect!r}"
-            )
+        direct = _level_products(a.indicator(), b.indicator())
+        if not np.array_equal(sums[1:], 4 * direct[1:]):
+            raise NumericalConsistencyError(f"level sums {sums} are not 4 times {direct} above 0")
+    if a == b and (sums.min() < 0 or sums.sum() != 4**a.n):
+        raise NumericalConsistencyError(f"self level sums {sums} are not >= 0 with total 4^{a.n}")
     return DualDistribution(a.n, tuple(q))
 
 

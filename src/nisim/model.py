@@ -4,7 +4,8 @@ of uniformly random, coordinate-wise correlated binary strings.
 Each coordinate pair (X_i, Y_i) is uniform on {-1,+1}^2 with correlation rho,
 independent across coordinates.  For codes A and B the quantity of interest is
 q = P(X in A, Y in B), which depends on the codes only through their cross
-distance distribution.
+distance distribution.  A pair of words has an exact rational probability
+(``_pair_weights``), so q is an exact rational, and it is returned rounded once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .codes import MAX_TRANSFORM_DIM, BinaryCode
-from .distance import DistanceDistribution, _level_products, distance_distribution
+from .distance import _level_products, distance_distribution
 from .errors import (
     DimensionMismatchError,
     DimensionRangeError,
@@ -24,7 +25,14 @@ from .errors import (
 from .fourier import LevelSums, theta_from_levels
 
 _PATH_TOL = 1e-9
-_CLAMP_SLACK = 1e-12
+
+
+def _pair_weights(n: int, rho: float) -> tuple[list[int], int]:
+    """(W, D): W[d] / D is the probability of one pair of words at distance d,
+    with W[d] = (den - num)^d (den + num)^(n - d) and D = (4 den)^n for
+    rho = num/den exactly, all Python ints."""
+    num, den = float(rho).as_integer_ratio()
+    return [(den - num) ** d * (den + num) ** (n - d) for d in range(n + 1)], (4 * den) ** n
 
 
 @dataclass(frozen=True)
@@ -41,9 +49,9 @@ class DsbsInstance:
         object.__setattr__(self, "n", n)
 
     def pair_weights(self) -> tuple[float, ...]:
-        """``pair_probability(d)`` for every distance d = 0..n."""
-        apart, alike = (1.0 - self.rho) / 4.0, (1.0 + self.rho) / 4.0
-        return tuple(apart**d * alike ** (self.n - d) for d in range(self.n + 1))
+        """``pair_probability(d)`` for every distance d = 0..n, rounded once."""
+        weights, scale = _pair_weights(self.n, self.rho)
+        return tuple(w / scale for w in weights)
 
     def pair_probability(self, d: int) -> float:
         """Probability of one specific pair (x, y) at Hamming distance d."""
@@ -63,35 +71,33 @@ class JointCellProbs:
 
     def __post_init__(self):
         cells = (self.q_pp, self.q_pm, self.q_mp, self.q_mm)
-        if min(cells) < -_CLAMP_SLACK:
+        if min(cells) < -1e-12:
             raise NumericalConsistencyError(f"cell below -1e-12: {min(cells):.3e}")
         total = math.fsum(cells)
         if abs(total - 1.0) > 1e-12:
             raise NumericalConsistencyError(f"cells sum to {total!r}, not 1")
 
 
-def _distance_path(dist: DistanceDistribution, pairs: int, rho: float) -> float:
-    """The agreement probability summed over a cross distance distribution of
-    ``pairs`` code pairs: each pair at distance d has probability
-    ``pair_probability(d)``."""
-    weights = DsbsInstance(rho, dist.n).pair_weights()
-    return math.fsum(pairs * p * w for p, w in zip(dist.p, weights) if p > 0.0)
-
-
 def collision_prob(a: BinaryCode, b: BinaryCode, rho: float) -> float:
     """P(X in A, Y in B) for the correlated pair at correlation rho.
 
-    Summed through the distance distribution; checked against the independent
-    spectral route (mean product plus correlation-weighted level sums) whenever
-    the transform is feasible.  Its level sums are those of the +-1
-    indicators' transform products over 4^n, which are the same bits as the
-    level sums of the two spectra.  The two routes must agree to 1e-9.
+    The exact sum of c_d W_d / D over the distance counts c_d, rounded once.
+    The counts are read back exactly from the distance distribution (at most
+    2^48 pairs at n <= 24, ``PAIRWISE_LIMIT`` above).  Checked against the
+    independent spectral route (mean product plus correlation-weighted level
+    sums of the +-1 indicators' transform products over 4^n) whenever the
+    transform is feasible; the two must agree to 1e-9.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"code dimensions differ: {a.n} vs {b.n}")
     rho = as_real("correlation", rho, -1.0, 1.0)
     n = a.n
-    q = _distance_path(distance_distribution(a, b), a.size * b.size, rho)
+    pairs = a.size * b.size
+    counts = [round(p * pairs) for p in distance_distribution(a, b).p]
+    if sum(counts) != pairs:
+        raise NumericalConsistencyError(f"distance counts {counts} do not sum to {pairs}")
+    weights, scale = _pair_weights(n, rho)
+    q = sum(c * w for c, w in zip(counts, weights) if c) / scale
 
     if n <= MAX_TRANSFORM_DIM:
         dens = a.density * b.density
@@ -102,10 +108,7 @@ def collision_prob(a: BinaryCode, b: BinaryCode, rho: float) -> float:
             raise NumericalConsistencyError(
                 f"distance path {q!r} and spectral path {q_spec!r} disagree"
             )
-
-    if q < -_CLAMP_SLACK or q > 1.0 + _CLAMP_SLACK:
-        raise NumericalConsistencyError(f"agreement probability {q!r} outside [0, 1]")
-    return min(1.0, max(0.0, q))
+    return q
 
 
 def joint_cells(a: BinaryCode, b: BinaryCode, rho: float) -> JointCellProbs:

@@ -5,7 +5,8 @@
 the first code ranges over orbit representatives, the second is its exact best
 response, read off one sorted column of the pair kernel as the words above the
 boundary entry and the words tied with it.  The kernel is exact (integer pair
-weights, or integer distances), so ranking is by exact comparison.  The
+weights, or integer distances), so ranking is by exact comparison, and an
+agreement extreme is the kernel sum over the witness pair, rounded once.  The
 witness is the smallest jointly canonical pair: the first optimal
 representative, and the fill of its tied words that the representative's
 stabilizer moves to the smallest words.
@@ -25,7 +26,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,8 +49,8 @@ from .errors import (
     as_integer,
     as_real,
 )
-from .fourier import _transform, _weights, fwht
-from .model import DsbsInstance, collision_prob
+from .fourier import _transform, _weights
+from .model import _pair_weights, collision_prob
 
 RHO_CERTIFICATION_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 MAX_EXHAUSTIVE_DIM = 4
@@ -130,15 +130,13 @@ def _orbit_reps(n: int, m: int) -> list[tuple[int, ...]]:
 
 def _exact_kernel(n: int, rho: float | None) -> np.ndarray:
     """The pair kernel over word pairs in exact integers: their distance if rho
-    is None, else (4 den)^n times their weight, (den - num)^d (den + num)^(n - d)
-    at distance d with rho = num/den exactly, as Python ints."""
+    is None, else the integer pair weight W_d of ``_pair_weights`` at their
+    distance d, as Python ints."""
     words = np.arange(1 << n, dtype=np.int64)
     dists = np.bitwise_count(words[:, None] ^ words[None, :]).astype(np.int64)
     if rho is None:
         return dists
-    num, den = Fraction(rho).as_integer_ratio()
-    weights = [(den - num) ** d * (den + num) ** (n - d) for d in range(n + 1)]
-    return np.array(weights, dtype=object)[dists]
+    return np.array(_pair_weights(n, rho)[0], dtype=object)[dists]
 
 
 def _best_responses(reps, kernel, n_second: int, sign: int):
@@ -205,7 +203,8 @@ def exhaustive_extremes(
     def resolve(sign: int):
         pair = _witness(n, *_best_responses(reps, kernel, n_second, sign), n_second)
         if objective == "collision":
-            return collision_prob(pair[0], pair[1], rho), pair
+            total = kernel[np.ix_(pair[0].words, pair[1].words)].sum()
+            return total / _pair_weights(n, rho)[1], pair
         return distance_moment(distance_distribution(pair[0], pair[1]), 1), pair
 
     hi_value, hi_pair = resolve(+1)
@@ -303,13 +302,13 @@ def local_search(
     * it is deterministic for a fixed seed on a given numpy/BLAS build.
 
     Which of several fixed points a start reaches depends on the float rounding
-    of its scores (``fwht`` of the pair weights ``DsbsInstance.pair_weights``)
-    and is not part of the contract.  Ties between starts go to the smallest
-    canonical pair at n <= ``MAX_CANONICAL_DIM``; above it, to the smallest
-    sorted word lists, and the witness is reported as found, not
-    canonicalized.  A start still improving after ``MAX_LOCAL_ROUNDS`` rounds
-    stops there, possibly short of single-swap optimality, with a
-    ``RuntimeWarning``.
+    of its scores and is not part of the contract.  Starts are ranked by the
+    witness's ``collision_prob``, the exact value rounded once, compared
+    exactly; ties go to the smallest canonical pair at n <=
+    ``MAX_CANONICAL_DIM``; above it, to the smallest sorted word lists, and
+    the witness is reported as found, not canonicalized.  A start still
+    improving after ``MAX_LOCAL_ROUNDS`` rounds stops there, possibly short of
+    single-swap optimality, with a ``RuntimeWarning``.
     """
     n = as_integer("n", n, 1, MAX_LOCAL_DIM, DimensionRangeError)
     size = 1 << n
@@ -323,7 +322,10 @@ def local_search(
     rng = np.random.default_rng(seed)
     sign = 1.0 if direction == "max" else -1.0
     weight = _weights(n)
-    g_hat = fwht(np.array(DsbsInstance(rho, n).pair_weights())[weight]) * (sign / size)
+    # The transform of the pair weight by word weight in closed form: per
+    # coordinate the cell masses (1 +- rho)/4 sum to 1/2 and differ by rho/2,
+    # so mask S gets rho^|S| / 2^n.
+    g_hat = np.power(rho, np.arange(n + 1.0))[weight] * (sign / 4.0**n)
     starts = []
     if m & (m - 1) == 0 and n_second & (n_second - 1) == 0:
         pin_a = n - m.bit_length() + 1
@@ -353,11 +355,10 @@ def local_search(
         outcomes.append((score, np.sort(a), np.sort(b)))
 
     # Transform scores rank the starts; only pairs that can still win get the
-    # reported value, canonical form and tie-break below.
+    # reported value, canonical form and tie-break below, where the correctly
+    # rounded values are compared exactly.
     top = max(score for score, _, _ in outcomes)
-    best_value = None
-    best_pair = None
-    best_key = None
+    best_rank = best_value = best_pair = None
     seen = set()
     for score, a, b in outcomes:
         pair_bytes = (a.tobytes(), b.tobytes())
@@ -369,11 +370,9 @@ def local_search(
         value = collision_prob(code_a, code_b, rho)
         if n <= MAX_CANONICAL_DIM:
             code_a, code_b = canonical_pair(code_a, code_b)
-        key = (code_a.words, code_b.words)
-        better = best_value is None or value * sign > best_value * sign + 1e-15
-        tied = best_value is not None and abs(value - best_value) <= 1e-15
-        if better or (tied and key < best_key):
-            best_value, best_pair, best_key = value, (code_a, code_b), key
+        rank = (-sign * value, code_a.words, code_b.words)
+        if best_rank is None or rank < best_rank:
+            best_rank, best_value, best_pair = rank, value, (code_a, code_b)
     elapsed = time.perf_counter() - start
 
     common = dict(

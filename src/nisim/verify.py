@@ -36,7 +36,6 @@ from .distance import (
     dual_distribution,
 )
 from .fourier import fwht, level_sums, spectrum, theta_from_levels
-from .model import _distance_path
 
 _DEFAULT_DIMS = (4, 6, 8, 10)
 _RHO_GRID = (-1.0, -0.5, 0.0, 0.5, 0.9, 1.0)
@@ -101,6 +100,14 @@ class VerifyReport:
         overall = "PASS" if self.passed else "FAIL"
         lines.append(f"overall: {overall}")
         return "\n".join(lines) + "\n"
+
+
+def _distance_path(dist: DistanceDistribution, pairs: int, rho: float) -> float:
+    """Agreement probability of ``pairs`` code pairs with this distance
+    distribution, in floats with the textbook pair weights."""
+    apart, alike = (1.0 - rho) / 4.0, (1.0 + rho) / 4.0
+    weights = [apart**d * alike ** (dist.n - d) for d in range(dist.n + 1)]
+    return math.fsum(pairs * p * w for p, w in zip(dist.p, weights) if p > 0.0)
 
 
 class _Collector:

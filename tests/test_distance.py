@@ -80,13 +80,13 @@ class TestDistanceDistribution:
 
     @pytest.mark.parametrize("n, m", [(8, 256), (12, 256), (16, 4096)])
     def test_path_choice_by_cost(self, rng, monkeypatch, n, m):
-        """At most max(2 n 2^n, 2^15) pairs are counted pairwise, one more goes
-        through the transform; both give the exact counts of a double loop."""
+        """At most max(n 2^n / 8, 2^13) pairs are counted pairwise, one more
+        goes through the transform; both give the exact counts of a double loop."""
         used = []
         for fn in (_pairwise_counts, _transform_counts):
             spy = lambda a, b, fn=fn: used.append(fn.__name__) or fn(a, b)
             monkeypatch.setattr(f"nisim.distance.{fn.__name__}", spy)
-        threshold = max(2 * n << n, 1 << 15)
+        threshold = max(n << n >> 3, 1 << 13)
         code_a = random_code(rng, n, size=m)
         sides = ((threshold // m, "_pairwise_counts"), (threshold // m + 1, "_transform_counts"))
         for size_b, path in sides:
@@ -216,6 +216,29 @@ class TestDualDistribution:
             total = sum(dual.q)
             expected = (1 << code.n) / code.size
             assert abs(total - expected) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "n, same, message", [(8, False, "not 4 times"), (12, True, "total 4\\^12")]
+    )
+    def test_product_off_by_four_is_caught(self, rng, monkeypatch, n, same, message):
+        """One +-1 transform product off by 4 moves its level sum by 4: at
+        n <= 10 it is then not 4 times the character-sum level sum, and for a
+        self pair above that the total is not 4^n."""
+        products = nisim.distance._level_products
+        calls = []
+
+        def skewed(x, y):
+            levels = products(x, y)
+            if not calls:  # the +-1 tables come first
+                levels[3] += 4.0
+            calls.append(x)
+            return levels
+
+        monkeypatch.setattr(nisim.distance, "_level_products", skewed)
+        a = random_code(rng, n, size=100)
+        b = a if same else random_code(rng, n, size=60)
+        with pytest.raises(NumericalConsistencyError, match=message):
+            dual_distribution(a, b)
 
     def test_dual_enumerator_at_one_accumulates_all_mass(self):
         code = subcube(4, 2)

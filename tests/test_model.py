@@ -22,7 +22,7 @@ from nisim.errors import (
     ParameterRangeError,
 )
 
-from conftest import brute_collision_prob, random_code
+from conftest import fraction_collision_prob, random_code
 
 
 class TestDsbsInstance:
@@ -36,7 +36,7 @@ class TestDsbsInstance:
 
     def test_pair_probability_value(self):
         inst = DsbsInstance(0.5, 2)
-        assert abs(inst.pair_probability(1) - (0.125 * 0.375)) <= 1e-15
+        assert inst.pair_probability(1) == 0.125 * 0.375
 
     def test_guards(self):
         with pytest.raises(ParameterRangeError):
@@ -49,43 +49,43 @@ class TestDsbsInstance:
 
 class TestCollisionProb:
     def test_matches_reference_loop(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(1, 6))
+        """The exact value rounded once: equal to float of the Fraction sum."""
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
             a = random_code(rng, n)
             b = random_code(rng, n)
-            for rho in (-1.0, -0.6, 0.0, 0.4, 0.9, 1.0):
-                got = collision_prob(a, b, rho)
-                ref = brute_collision_prob(n, a.words, b.words, rho)
-                assert abs(got - ref) <= 1e-12
+            for rho in (-1.0, -0.7, -0.3, 0.0, 0.1, 0.3, 0.9, 1.0):
+                exact = float(fraction_collision_prob(n, a.words, b.words, rho))
+                assert collision_prob(a, b, rho) == exact, (n, rho)
+                assert joint_cells(a, b, rho).q_pp == exact, (n, rho)
 
     @pytest.mark.parametrize("n", [63, 64])
     def test_widest_words(self, n):
         top = (1 << n) - 1
         a = make_code(n, [0, 1 << (n - 1), top, 12345 << (n - 20)])
         b = make_code(n, [top, top ^ 1, 1 << (n - 1), (1 << (n - 1)) - 1])
-        for rho in (-0.9, 0.0, 0.5, 1.0):
-            got = collision_prob(a, b, rho)
-            ref = brute_collision_prob(n, a.words, b.words, rho)
-            assert abs(got - ref) <= 1e-12 * ref
+        for rho in (-0.9, -0.3, 0.0, 0.1, 0.5, 1.0, 1e-300):
+            exact = fraction_collision_prob(n, a.words, b.words, rho)
+            assert collision_prob(a, b, rho) == float(exact), rho
 
     def test_independent_case_factorizes(self, rng):
         a = random_code(rng, 5)
         b = random_code(rng, 5)
-        assert abs(collision_prob(a, b, 0.0) - a.density * b.density) <= 1e-12
+        assert collision_prob(a, b, 0.0) == a.density * b.density
 
     def test_perfect_correlation_is_overlap(self, rng):
         for _ in range(10):
             a = random_code(rng, 4)
             b = random_code(rng, 4)
             overlap = len(set(a.words) & set(b.words)) / 16
-            assert abs(collision_prob(a, b, 1.0) - overlap) <= 1e-12
+            assert collision_prob(a, b, 1.0) == overlap
 
     def test_perfect_anticorrelation_is_mirrored_overlap(self, rng):
         for _ in range(10):
             a = random_code(rng, 4)
             b = random_code(rng, 4)
             mirrored = len(set(a.words) & set(star(b).words)) / 16
-            assert abs(collision_prob(a, b, -1.0) - mirrored) <= 1e-12
+            assert collision_prob(a, b, -1.0) == mirrored
 
     def test_sandwich(self, rng):
         for _ in range(20):
@@ -93,8 +93,7 @@ class TestCollisionProb:
             b = random_code(rng, 5)
             rho = float(rng.uniform(-1, 1))
             q = collision_prob(a, b, rho)
-            assert q >= max(0.0, a.density + b.density - 1.0) - 1e-12
-            assert q <= min(a.density, b.density) + 1e-12
+            assert max(0.0, a.density + b.density - 1.0) <= q <= min(a.density, b.density)
 
     def test_complement_shift(self, rng):
         for _ in range(10):
@@ -112,13 +111,7 @@ class TestCollisionProb:
             a = random_code(rng, 4)
             b = random_code(rng, 4)
             rho = float(rng.uniform(0, 1))
-            assert (
-                abs(
-                    collision_prob(a, b, -rho)
-                    - collision_prob(a, star(b), rho)
-                )
-                <= 1e-12
-            )
+            assert collision_prob(a, b, -rho) == collision_prob(a, star(b), rho)
 
     def test_guards(self):
         with pytest.raises(DimensionMismatchError):
@@ -149,7 +142,7 @@ class TestJointCells:
         a = random_code(rng, 4)
         b = random_code(rng, 4)
         jc = joint_cells(a, b, -0.7)
-        assert abs(jc.q_pp - collision_prob(a, b, -0.7)) <= 1e-15
+        assert jc.q_pp == collision_prob(a, b, -0.7)
 
 
 class TestDyadicRound:

@@ -1,5 +1,6 @@
-"""Bits and memory of the transform paths at n = 12 (pairwise distance
-counting) and n = 16 (distance counts from transform level sums).
+"""Bits, memory and transform counts of the transform paths at n = 12
+(pairwise distance counting) and n = 16 (distance counts from transform level
+sums).
 
 The digests pin every output byte of the spectral and distance layers, so a
 reordered sum, a shortcut that flips a signed zero or a changed rounding shows
@@ -13,28 +14,33 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nisim
 from nisim import (
     collision_prob,
     distance_distribution,
     dual_distribution,
+    exhaustive_extremes,
+    fwht,
     joint_cells,
     level_sums,
     make_code,
     spectrum,
 )
 
-# Code sizes: the 256 x 200 pairs at n = 12 are counted one by one, the
-# 3000 x 5000 at n = 16 through the transform.
-SIZES = {12: (256, 200), 16: (3000, 5000)}
+# Code sizes: the 64 x 100 pairs at n = 12 are counted one by one, the
+# 3000 x 5000 at n = 16 through the transform.  The n = 12 pair was 256 x 200
+# until the pairwise limit fell to max(n 2^n / 8, 2^13) pairs; its row was
+# re-recorded for the smaller pair, and matches the code before that change.
+SIZES = {12: (64, 100), 16: (3000, 5000)}
 
 DIGESTS = {
     12: {
-        "spectrum": "ce525ebe380a4736815f50823551b2b8977a8e76e894e8ec0092569deb080659",
-        "level_sums": "f40424fe708a8c6a30a763d0a9b6d5ec3790edc8ac45dca594c35376fa8b1a96",
-        "dual_distribution": "b131fe137329979f502f7e0482d6ab87c92e1010c9827563057f47b4d0a20c5b",
-        "distance_distribution": "7abf3553b5bc49f629e44e1ae301bdbc971e520f64f86939d8886c502ce47ab0",
-        "collision_prob": "e869a87a8a99b4a9280ad2b9a96b1139b9e2988a0de3ea5a8c5d6b821b21c5a5",
-        "joint_cells": "6a20bb8e14b338829f2a927ffc2889482e4db5763985c68047c2dd2785ad4a4d",
+        "spectrum": "4963d84d958119193db4979bec768a998d38919ab6f1a8765b283761db18eca2",
+        "level_sums": "b8e6a89a7eae79af4cf68fd80495f4618dddc9197fa796e11ca2fcd33f25d68d",
+        "dual_distribution": "5a428c88bdd2d6d7e7d7b19a929ff4fce98f80cc2313a5121a1b00560a712ce7",
+        "distance_distribution": "098b613eaf42e795bfdfae9ee1baee96ef02a2ed3b8b1257eb6737d8993eb78a",
+        "collision_prob": "d4ed26c983a22963d1ef4f5cedc8c730fc90b41300098c6199cd5543944f8cb8",
+        "joint_cells": "6b8ee1bd9868d292b2d709e9417a24e30abf3d3f581ac04e038c8232e315498d",
     },
     16: {
         "spectrum": "97533a33ca22b317dce3d20d97caeeea8f518615991eefdcab2efbbd2cd44725",
@@ -68,7 +74,7 @@ def output_bytes(a, b):
 @pytest.mark.parametrize("n", sorted(SIZES))
 def test_outputs_keep_their_bits(n):
     a, b = seeded_pair(n)
-    assert (a.size * b.size <= max(2 * n << n, 1 << 15)) == (n == 12)
+    assert (a.size * b.size <= max(n << n >> 3, 1 << 13)) == (n == 12)
     coeffs = spectrum(a).coeffs
     # The pin covers signed zeros: odd-weight masks with a zero sum carry -0.0.
     assert np.any((coeffs == 0) & np.signbit(coeffs))
@@ -112,3 +118,39 @@ def test_peak_memory_at_n16(name, arrays):
         "dual_distribution": lambda: dual_distribution(a, b),
     }[name]
     assert peak_arrays(call, n) < arrays + 0.5
+
+
+def random_pair(n, size_a, size_b):
+    rng = np.random.default_rng(n)
+    return [make_code(n, rng.choice(1 << n, size, replace=False)) for size in (size_a, size_b)]
+
+
+# Public fwht calls per call: 0/1-indicator products count distances by
+# transform, +-1-indicator products give the spectral check of collision_prob
+# and the dual, whose character-sum check at n <= 10 adds the 0/1 pair.
+@pytest.mark.parametrize(
+    "name, call, transforms",
+    [
+        ("distance pairwise", lambda: distance_distribution(*random_pair(12, 64, 100)), 0),
+        ("distance by transform", lambda: distance_distribution(*random_pair(12, 256, 200)), 2),
+        ("dual at n = 10", lambda: dual_distribution(*random_pair(10, 64, 100)), 4),
+        ("dual at n = 12", lambda: dual_distribution(*random_pair(12, 64, 100)), 2),
+        ("collision pairwise", lambda: collision_prob(*random_pair(12, 64, 100), 0.3), 2),
+        ("collision by transform", lambda: collision_prob(*random_pair(12, 256, 200), 0.3), 4),
+        ("collision at n = 30", lambda: collision_prob(*random_pair(30, 64, 100), 0.3), 0),
+        ("exhaustive", lambda: exhaustive_extremes(3, 3, 4, 0.3), 0),
+        ("exhaustive distance", lambda: exhaustive_extremes(3, 3, 4, None, "distance"), 0),
+    ],
+)
+def test_transform_counts(monkeypatch, name, call, transforms):
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return fwht(values)
+
+    for module in (nisim.fourier, nisim.distance, nisim.model, nisim.oracle):
+        if hasattr(module, "fwht"):
+            monkeypatch.setattr(module, "fwht", counted)
+    call()
+    assert len(calls) == transforms
