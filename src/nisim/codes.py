@@ -90,9 +90,9 @@ class BinaryCode:
         """The stored words, sorted, as a read-only uint64 array (not a copy)."""
         return self._array
 
-    def indicator(self, off: int = 0) -> np.ndarray:
-        """1 at each of the code's words and ``off`` at the rest of the 2^n, as int8."""
-        table = np.full(1 << self.n, off, dtype=np.int8)
+    def indicator(self) -> np.ndarray:
+        """1 at each of the code's words and 0 at the rest of the 2^n, as int8."""
+        table = np.zeros(1 << self.n, dtype=np.int8)
         table[self._array.view(np.int64)] = 1
         return table
 

@@ -115,12 +115,12 @@ class FourierSpectrum:
 
 
 def spectrum(code: BinaryCode) -> FourierSpectrum:
-    """Expand the +-1 indicator of the code (value +1 on code words)."""
+    """Expand the +-1 indicator 2 * indicator - 1 of the code (+1 on its words)."""
     if code.n > MAX_TRANSFORM_DIM:
         raise DimensionRangeError(
             f"spectrum supports dimensions up to {MAX_TRANSFORM_DIM}, got {code.n}"
         )
-    coeffs = fwht(code.indicator(-1))
+    coeffs = fwht(2 * code.indicator() - 1)
     # The character convention counts a coordinate as active when its bit is 0,
     # so mask S picks up the sign (-1)^|S| relative to the raw kernel: the product
     # of the signs of its high and its low half (a masked negation took 5x as long).

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 from .codes import MAX_TRANSFORM_DIM, BinaryCode
 from .distance import _level_products, distance_distribution
@@ -30,9 +32,11 @@ _PATH_TOL = 1e-9
 def _pair_weights(n: int, rho: float) -> tuple[list[int], int]:
     """(W, D): W[d] / D is the probability of one pair of words at distance d,
     with W[d] = (den - num)^d (den + num)^(n - d) and D = (4 den)^n for
-    rho = num/den exactly, all Python ints."""
+    rho = num/den exactly, all Python ints; the powers are running products."""
     num, den = float(rho).as_integer_ratio()
-    return [(den - num) ** d * (den + num) ** (n - d) for d in range(n + 1)], (4 * den) ** n
+    apart = list(accumulate(repeat(den - num, n), mul, initial=1))
+    alike = list(accumulate(repeat(den + num, n), mul, initial=1))
+    return [x * y for x, y in zip(apart, reversed(alike))], (4 * den) ** n
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ def collision_prob(a: BinaryCode, b: BinaryCode, rho: float) -> float:
     The counts are read back exactly from the distance distribution (at most
     2^48 pairs at n <= 24, ``PAIRWISE_LIMIT`` above).  Checked against the
     independent spectral route (mean product plus correlation-weighted level
-    sums of the +-1 indicators' transform products over 4^n) whenever the
+    sums of the 0/1 indicators' transform products over 4^(n-1)) whenever the
     transform is feasible; the two must agree to 1e-9.
     """
     if a.n != b.n:
@@ -101,7 +105,7 @@ def collision_prob(a: BinaryCode, b: BinaryCode, rho: float) -> float:
 
     if n <= MAX_TRANSFORM_DIM:
         dens = a.density * b.density
-        sums = _level_products(a.indicator(-1), b.indicator(-1)) / 4**n
+        sums = _level_products(a, b) / 4 ** (n - 1)
         theta = theta_from_levels(LevelSums(n, tuple(sums.tolist())), rho)
         q_spec = dens + theta
         if abs(q - q_spec) > _PATH_TOL:

@@ -128,15 +128,15 @@ def _orbit_reps(n: int, m: int) -> list[tuple[int, ...]]:
     return reps
 
 
-def _exact_kernel(n: int, rho: float | None) -> np.ndarray:
-    """The pair kernel over word pairs in exact integers: their distance if rho
-    is None, else the integer pair weight W_d of ``_pair_weights`` at their
-    distance d, as Python ints."""
+def _exact_kernel(n: int, weights: list[int] | None) -> np.ndarray:
+    """The pair kernel over word pairs in exact integers: their distance if
+    ``weights`` is None, else the integer pair weight W_d of ``_pair_weights``
+    at their distance d, as Python ints."""
     words = np.arange(1 << n, dtype=np.int64)
     dists = np.bitwise_count(words[:, None] ^ words[None, :]).astype(np.int64)
-    if rho is None:
+    if weights is None:
         return dists
-    return np.array(_pair_weights(n, rho)[0], dtype=object)[dists]
+    return np.array(weights, dtype=object)[dists]
 
 
 def _best_responses(reps, kernel, n_second: int, sign: int):
@@ -198,13 +198,14 @@ def exhaustive_extremes(
 
     start = time.perf_counter()
     reps = _orbit_reps(n, m)
-    kernel = _exact_kernel(n, rho)
+    weights, scale = _pair_weights(n, rho) if objective == "collision" else (None, 1)
+    kernel = _exact_kernel(n, weights)
 
     def resolve(sign: int):
         pair = _witness(n, *_best_responses(reps, kernel, n_second, sign), n_second)
         if objective == "collision":
             total = kernel[np.ix_(pair[0].words, pair[1].words)].sum()
-            return total / _pair_weights(n, rho)[1], pair
+            return total / scale, pair
         return distance_moment(distance_distribution(pair[0], pair[1]), 1), pair
 
     hi_value, hi_pair = resolve(+1)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -208,6 +209,26 @@ class TestVerifyCommand:
             capsys, "verify", "--trials", "2", "--inject-fault", "bogus"
         )
         assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("verify", "--trials", "100"),
+            "55b3e1469a76a9493f237622c1c6d5b3ec40be24120045e0df56488c665dadbd",
+        ),
+        (
+            ("curve", "--rho", "0.5"),
+            "4fb8734e000239642b79098a33af394da1529a47d730e49ef5eb6d0ad299352d",
+        ),
+    ],
+)
+def test_stdout_keeps_its_bytes(capsys, argv, digest):
+    """The full stdout of the two reference runs, pinned by its sha256."""
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTopLevel:

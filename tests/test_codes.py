@@ -229,7 +229,6 @@ class TestRepresentation:
         code = make_code(3, [6, 1])
         assert code.indicator().tolist() == [0, 1, 0, 0, 0, 0, 1, 0]
         assert code.indicator().dtype == np.int8
-        assert code.indicator(-1.0).tolist() == [-1, 1, -1, -1, -1, -1, 1, -1]
 
     def test_codes_are_immutable(self):
         code = make_code(2, [1])

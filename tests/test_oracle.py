@@ -29,6 +29,7 @@ from nisim.errors import (
     SearchBudgetError,
 )
 from nisim import oracle
+from nisim.model import _pair_weights
 from nisim.oracle import MAX_LOCAL_DIM, _orbit_reps
 
 from conftest import brute_extremes_no_symmetry, brute_orbit_minima, fraction_collision_prob
@@ -209,7 +210,7 @@ def check_best_responses(n, m, n_second, rho):
     representative holding an optimal pair.  Optimal as ranked by a Fraction
     reference (rho None: the total distance)."""
     reps = _orbit_reps(n, m)
-    kernel = oracle._exact_kernel(n, rho)
+    kernel = oracle._exact_kernel(n, None if rho is None else _pair_weights(n, rho)[0])
     exact = {
         a: {
             b: fraction_collision_prob(n, a, b, rho)

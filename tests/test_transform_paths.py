@@ -125,15 +125,15 @@ def random_pair(n, size_a, size_b):
     return [make_code(n, rng.choice(1 << n, size, replace=False)) for size in (size_a, size_b)]
 
 
-# Public fwht calls per call: 0/1-indicator products count distances by
-# transform, +-1-indicator products give the spectral check of collision_prob
-# and the dual, whose character-sum check at n <= 10 adds the 0/1 pair.
+# Public fwht calls per call: one 0/1-indicator product counts distances by
+# transform, gives the dual at every n, and gives the spectral check of
+# collision_prob.
 @pytest.mark.parametrize(
     "name, call, transforms",
     [
         ("distance pairwise", lambda: distance_distribution(*random_pair(12, 64, 100)), 0),
         ("distance by transform", lambda: distance_distribution(*random_pair(12, 256, 200)), 2),
-        ("dual at n = 10", lambda: dual_distribution(*random_pair(10, 64, 100)), 4),
+        ("dual at n = 10", lambda: dual_distribution(*random_pair(10, 64, 100)), 2),
         ("dual at n = 12", lambda: dual_distribution(*random_pair(12, 64, 100)), 2),
         ("collision pairwise", lambda: collision_prob(*random_pair(12, 64, 100), 0.3), 2),
         ("collision by transform", lambda: collision_prob(*random_pair(12, 256, 200), 0.3), 4),
