@@ -410,13 +410,21 @@ def hc_bounds(a: float, b: float, rho: float) -> tuple[float, float]:
     return lb, max(lb, ub)
 
 
+# The bound families in report order, also BoundsReport's family fields and raw's
+# first keys; the suffix _lb or _ub puts each on its side of the intersection.
+FAMILIES = ("upsilon1_lb", "upsilon2_lb", "upsilon1_ub", "upsilon2_ub",
+            "mc_lb", "mc_ub", "hc_lb", "hc_ub")
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     """Every bound family for one instance, plus their intersection.
 
-    Family fields are in normalized coordinates and clamped to the trivial
-    range [0, min(a, b)]; ``combined_lb``/``combined_ub`` are mapped back to
-    the original coordinates.  ``raw`` keeps pre-clamp values.
+    The family fields are those of ``FAMILIES``, declared in its order, in
+    normalized coordinates and clamped to the trivial range [0, min(a, b)];
+    ``combined_lb``/``combined_ub`` are mapped back to the original
+    coordinates.  ``raw`` keeps the pre-clamp values under the same names,
+    then the combined bounds before and after de-normalization.
     """
 
     a: float
@@ -449,8 +457,9 @@ class BoundsReport:
 def combined_report(a: float, b: float, rho: float) -> BoundsReport:
     """Normalize, run every family, intersect, and map back.
 
-    The de-normalization uses only the affine record from normalization; no
-    family formula is re-derived in original coordinates.
+    The intersection is the largest clamped ``_lb`` and smallest clamped
+    ``_ub`` of ``FAMILIES``.  The de-normalization uses only the affine record
+    from normalization; no family formula is re-derived in original coordinates.
     """
     a, b = as_real("density", a, 0.0, 1.0), as_real("density", b, 0.0, 1.0)
     rho = as_real("correlation", rho, -1.0, 1.0)
@@ -468,20 +477,10 @@ def combined_report(a: float, b: float, rho: float) -> BoundsReport:
         hc = hc_bounds(na, nb, nrho)
 
     cap = min(na, nb)
-    clamp = lambda v: min(cap, max(0.0, v))
-    raw = {
-        "upsilon1_lb": t1.upsilon1_lb,
-        "upsilon2_lb": t1.upsilon2_lb,
-        "upsilon1_ub": t1.upsilon1_ub,
-        "upsilon2_ub": t1.upsilon2_ub,
-        "mc_lb": mc[0],
-        "mc_ub": mc[1],
-        "hc_lb": hc[0],
-        "hc_ub": hc[1],
-    }
-    c = {k: clamp(v) for k, v in raw.items()}
-    combined_lb_n = max(c["upsilon1_lb"], c["upsilon2_lb"], c["mc_lb"], c["hc_lb"])
-    combined_ub_n = min(c["upsilon1_ub"], c["upsilon2_ub"], c["mc_ub"], c["hc_ub"])
+    raw = dict(zip(FAMILIES, (*t1, *mc, *hc)))
+    c = {k: min(cap, max(0.0, v)) for k, v in raw.items()}
+    combined_lb_n = max(v for k, v in c.items() if k.endswith("_lb"))
+    combined_ub_n = min(v for k, v in c.items() if k.endswith("_ub"))
     raw["combined_lb_normalized"] = combined_lb_n
     raw["combined_ub_normalized"] = combined_ub_n
 
@@ -501,14 +500,7 @@ def combined_report(a: float, b: float, rho: float) -> BoundsReport:
         original_b=b,
         original_rho=rho,
         transform=record,
-        upsilon1_lb=c["upsilon1_lb"],
-        upsilon2_lb=c["upsilon2_lb"],
-        upsilon1_ub=c["upsilon1_ub"],
-        upsilon2_ub=c["upsilon2_ub"],
-        mc_lb=c["mc_lb"],
-        mc_ub=c["mc_ub"],
-        hc_lb=c["hc_lb"],
-        hc_ub=c["hc_ub"],
+        **c,
         combined_lb=lo_o,
         combined_ub=hi_o,
         raw=raw,

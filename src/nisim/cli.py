@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .bounds import combined_report, hc_bounds, maximal_correlation_bounds, symmetric_bounds
+from .bounds import FAMILIES, combined_report, hc_bounds, maximal_correlation_bounds, symmetric_bounds
 from .errors import (
     ConvergenceError,
     FormatError,
@@ -82,16 +82,9 @@ def cmd_bounds(args) -> int:
             "alpha": report.transform.alpha,
             "beta": report.transform.beta,
         },
-        "upsilon1_lb": report.upsilon1_lb,
-        "upsilon2_lb": report.upsilon2_lb,
-        "upsilon1_ub": report.upsilon1_ub,
-        "upsilon2_ub": report.upsilon2_ub,
+        **{key: getattr(report, key) for key in FAMILIES},
         "upsilon_lb": max(report.upsilon1_lb, report.upsilon2_lb),
         "upsilon_ub": min(report.upsilon1_ub, report.upsilon2_ub),
-        "mc_lb": report.mc_lb,
-        "mc_ub": report.mc_ub,
-        "hc_lb": report.hc_lb,
-        "hc_ub": report.hc_ub,
         "combined_lb": report.combined_lb,
         "combined_ub": report.combined_ub,
         "raw": report.raw,
@@ -104,10 +97,7 @@ def cmd_bounds(args) -> int:
         if report.transform.steps:
             lines.append(f"normalized to a={report.a} b={report.b} rho={report.rho} "
                          f"via {', '.join(report.transform.steps)}")
-        for key in (
-            "upsilon1_lb", "upsilon2_lb", "upsilon1_ub", "upsilon2_ub",
-            "mc_lb", "mc_ub", "hc_lb", "hc_ub",
-        ):
+        for key in FAMILIES:
             lines.append(f"{key:12s} {payload[key]!r}")
         lines.append(f"{'combined':12s} [{report.combined_lb!r}, {report.combined_ub!r}]")
         for note in report.warnings:

@@ -86,7 +86,7 @@ class AvgDistanceBounds:
 def _pairwise_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
     counts = np.zeros(a.n + 1, dtype=np.int64)
     aw, bw = a.word_array(), b.word_array()
-    chunk = max(1, (1 << 22) // max(1, b.size))
+    chunk = max(1, (1 << 22) // b.size)
     for start in range(0, a.size, chunk):
         block = aw[start : start + chunk, None] ^ bw[None, :]
         dists = np.bitwise_count(block)
@@ -100,12 +100,17 @@ def _level_products(a: BinaryCode, b: BinaryCode) -> np.ndarray:
 
     By Parseval the absolute products total at most 2^n sqrt(|A| |B|) <= 4^n,
     so every partial sum is an exact integer below 2^53 whatever its order
-    (n <= ``MAX_TRANSFORM_DIM``).
+    (n <= ``MAX_TRANSFORM_DIM``).  A self pair (equal codes) transforms its
+    one table and squares it in place, which gives the same integers.
     """
-    # Both tables before either transform: one freed in between cost 18x the page faults.
-    x, y = a.indicator(), b.indicator()
-    prods = fwht(x)
-    prods *= fwht(y)
+    if a == b:
+        prods = fwht(a.indicator())
+        prods *= prods
+    else:
+        # Both tables before either transform: one freed in between cost 18x the page faults.
+        x, y = a.indicator(), b.indicator()
+        prods = fwht(x)
+        prods *= fwht(y)
     return np.bincount(_weights(a.n), weights=prods)
 
 
@@ -198,8 +203,8 @@ def dual_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DualDistrib
 
     The character sums are the 0/1 indicators' transforms, so entry k is the
     level sum L_k over |A| |B|: the bits of the two dyadic spectra's level
-    sums over 4ab.  A self pair's exact integer level sums must be
-    nonnegative with total 2^n |A| (Parseval).
+    sums over 4ab.  A self pair takes one transform, and its exact integer
+    level sums must be nonnegative with total 2^n |A| (Parseval).
     """
     if b is None:
         b = a

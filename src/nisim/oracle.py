@@ -25,13 +25,14 @@ import itertools
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .codes import (
     BinaryCode,
     canonical_pair,
+    format_code,
     make_code,
     star,
     subcube,
@@ -69,8 +70,9 @@ class OracleResult:
     ``pairs_evaluated`` is the number of pairs covered, orbit representatives
     times every second code of the requested size; for a local search it is
     the sum over starts of (rounds + 1), a round being a best response that
-    changed a code.  ``wall_time_s`` is measured and therefore excluded from
-    serialized output.
+    changed a code.  ``to_json_dict`` serializes every field in declaration
+    order, each witness as its two formatted codes, except ``wall_time_s``,
+    which is measured and therefore kept out of serialized output.
     """
 
     n: int
@@ -90,29 +92,11 @@ class OracleResult:
     wall_time_s: float = 0.0
 
     def to_json_dict(self) -> dict:
-        from .codes import format_code
-
-        def pair(w):
-            if w is None:
-                return None
-            return {"first": format_code(w[0]), "second": format_code(w[1])}
-
-        return {
-            "n": self.n,
-            "m": self.m,
-            "n_second": self.n_second,
-            "rho": self.rho,
-            "objective": self.objective,
-            "exhaustive": self.exhaustive,
-            "max_q": self.max_q,
-            "min_q": self.min_q,
-            "max_d": self.max_d,
-            "min_d": self.min_d,
-            "witness_max": pair(self.witness_max),
-            "witness_min": pair(self.witness_min),
-            "pairs_evaluated": self.pairs_evaluated,
-            "orbits_enumerated": self.orbits_enumerated,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time_s"}
+        for key in ("witness_max", "witness_min"):
+            if out[key] is not None:
+                out[key] = {"first": format_code(out[key][0]), "second": format_code(out[key][1])}
+        return out
 
 
 def _orbit_reps(n: int, m: int) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """Closed-form bounds, instance normalization, and the certificate optimizer."""
 
+import dataclasses
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -25,7 +26,7 @@ from nisim import (
     theta_minus,
     theta_plus,
 )
-from nisim.bounds import _certificate, _certify, _hc_search
+from nisim.bounds import FAMILIES, BoundsReport, _certificate, _certify, _hc_search
 from nisim.cli import default_a_grid
 from nisim.errors import NumericalConsistencyError, ParameterRangeError
 
@@ -542,6 +543,14 @@ class TestCombinedReport:
         rep = combined_report(0.25, 0.25, 0.5)
         assert "combined_lb_normalized" in rep.raw
         assert "combined_ub_original" in rep.raw
+
+    def test_families_are_the_report_fields_in_order(self):
+        """FAMILIES lists BoundsReport's family fields in declaration order, and
+        raw's first keys: a family declared in only one place fails here."""
+        names = [f.name for f in dataclasses.fields(BoundsReport)]
+        declared = [n for n in names if n.endswith(("_lb", "_ub")) and not n.startswith("combined")]
+        assert tuple(declared) == FAMILIES
+        assert tuple(combined_report(0.3, 0.2, 0.4).raw)[: len(FAMILIES)] == FAMILIES
 
     def test_symmetric_point_value(self):
         rep = combined_report(0.25, 0.25, 0.5)

@@ -1,5 +1,6 @@
 """Exhaustive and heuristic searches for extremal code pairs."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -374,6 +375,12 @@ class TestResultSerialization:
         again = json.loads(text)
         assert again["max_q"] == res.max_q
         assert again["witness_max"]["first"].startswith("n=3\n")
+
+    def test_json_dict_has_every_field_but_the_timing(self):
+        """A field added to OracleResult is serialized with no other edit."""
+        names = [f.name for f in dataclasses.fields(oracle.OracleResult) if f.name != "wall_time_s"]
+        for res in (exhaustive_extremes(3, 2, 2, 0.5), local_search(3, 4, 4, 0.5, seed=2, iters=1)):
+            assert list(res.to_json_dict()) == names
 
     def test_two_runs_serialize_identically(self):
         a = exhaustive_extremes(3, 3, 3, 0.3).to_json_dict()

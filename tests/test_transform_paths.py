@@ -125,9 +125,14 @@ def random_pair(n, size_a, size_b):
     return [make_code(n, rng.choice(1 << n, size, replace=False)) for size in (size_a, size_b)]
 
 
+def self_pair(n, size):
+    a = random_pair(n, size, size)[0]
+    return a, a
+
+
 # Public fwht calls per call: one 0/1-indicator product counts distances by
 # transform, gives the dual at every n, and gives the spectral check of
-# collision_prob.
+# collision_prob; a self pair transforms its one table once and squares it.
 @pytest.mark.parametrize(
     "name, call, transforms",
     [
@@ -135,8 +140,11 @@ def random_pair(n, size_a, size_b):
         ("distance by transform", lambda: distance_distribution(*random_pair(12, 256, 200)), 2),
         ("dual at n = 10", lambda: dual_distribution(*random_pair(10, 64, 100)), 2),
         ("dual at n = 12", lambda: dual_distribution(*random_pair(12, 64, 100)), 2),
+        ("dual self at n = 10", lambda: dual_distribution(*self_pair(10, 64)), 1),
+        ("distance self by transform", lambda: distance_distribution(*self_pair(12, 256)), 1),
         ("collision pairwise", lambda: collision_prob(*random_pair(12, 64, 100), 0.3), 2),
         ("collision by transform", lambda: collision_prob(*random_pair(12, 256, 200), 0.3), 4),
+        ("collision self by transform", lambda: collision_prob(*self_pair(12, 256), 0.3), 2),
         ("collision at n = 30", lambda: collision_prob(*random_pair(30, 64, 100), 0.3), 0),
         ("exhaustive", lambda: exhaustive_extremes(3, 3, 4, 0.3), 0),
         ("exhaustive distance", lambda: exhaustive_extremes(3, 3, 4, None, "distance"), 0),
