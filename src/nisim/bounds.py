@@ -268,7 +268,8 @@ def _hc_search(a, b, rho):
     quadrant = np.sign(pos[:2])
     pos[:2] = np.log(np.abs(pos[:2]))
     # The box in (log|u|, log|v|, z), shaped to broadcast over (start, move).
-    low = np.log([_EXCLUSION, _EXCLUSION, rho * rho / (_KAPPA_MAX - 1.0)])[:, None, None]
+    z_low = 2.0 * math.log(rho) - math.log(_KAPPA_MAX - 1.0)  # rho^2 may underflow
+    low = np.append(np.log([_EXCLUSION, _EXCLUSION]), z_low)[:, None, None]
     high = np.log([_RIDGE_LIMIT, _RIDGE_LIMIT, np.inf])[:, None, None]
     step = np.full(len(starts), 0.7)
     rows = np.arange(len(starts))

@@ -5,9 +5,9 @@
 the first code ranges over orbit representatives, the second is its exact best
 response, read off one sorted column of the pair kernel as the words above the
 boundary entry and the words tied with it.  The kernel is exact (integer pair
-weights, or integer distances), so ranking is by exact comparison, and an
-agreement extreme is the kernel sum over the witness pair, rounded once.  The
-witness is the smallest jointly canonical pair: the first optimal
+weights, or integer distances), so ranking is by exact comparison, and each
+extreme is the witness's kernel sum over (4 den)^n or m * n_second, rounded
+once.  The witness is the smallest jointly canonical pair: the first optimal
 representative, and the fill of its tied words that the representative's
 stabilizer moves to the smallest words.
 
@@ -42,7 +42,6 @@ from .codes import (
     _key_code,
     _orbit_keys,
 )
-from .distance import distance_distribution, distance_moment
 from .errors import (
     DimensionRangeError,
     ParameterRangeError,
@@ -182,18 +181,14 @@ def exhaustive_extremes(
 
     start = time.perf_counter()
     reps = _orbit_reps(n, m)
-    weights, scale = _pair_weights(n, rho) if objective == "collision" else (None, 1)
+    weights, scale = _pair_weights(n, rho) if objective == "collision" else (None, m * n_second)
     kernel = _exact_kernel(n, weights)
 
     def resolve(sign: int):
         pair = _witness(n, *_best_responses(reps, kernel, n_second, sign), n_second)
-        if objective == "collision":
-            total = kernel[np.ix_(pair[0].words, pair[1].words)].sum()
-            return total / scale, pair
-        return distance_moment(distance_distribution(pair[0], pair[1]), 1), pair
+        return int(kernel[np.ix_(pair[0].words, pair[1].words)].sum()) / scale, pair
 
-    hi_value, hi_pair = resolve(+1)
-    lo_value, lo_pair = resolve(-1)
+    (hi_value, hi_pair), (lo_value, lo_pair) = resolve(+1), resolve(-1)
     elapsed = time.perf_counter() - start
 
     common = dict(

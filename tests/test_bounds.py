@@ -1,6 +1,7 @@
 """Closed-form bounds, instance normalization, and the certificate optimizer."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -237,6 +238,22 @@ class TestHcBounds:
             assert hc_bounds(0.5, 0.5, 1.0) == (0.0, 0.5)
             assert hc_bounds(0.3, 0.9, 1.0) == (0.3 + 0.9 - 1.0, 0.3)
             assert hc_bounds(0.75, 0.5, 1.0) == (0.25, 0.5)
+
+    def test_unequal_densities_at_tiny_correlation_are_silent(self):
+        """Below about 1e-161, rho^2 / 999 underflows to 0; the kappa' floor of the
+        three-dimensional search is taken in logs, so such calls neither warn
+        nor leave the range from ab to the Frechet bounds.  The pairs stay
+        unequal after normalization at either sign of rho."""
+        pairs = ((0.25, 0.3), (0.1, 0.4), (0.125, 0.5), (0.7, 0.2), (0.45, 0.5),
+                 (0.01, 0.02), (0.99, 0.3))
+        tiny = (1e-160, 1e-171, 1e-200, 1e-300, 5e-324)
+        for (a, b), rho in itertools.product(pairs, tiny + tuple(-r for r in tiny)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = combined_report(a, b, rho)
+            na, nb = rep.a, rep.b
+            assert na != nb, (a, b, rho)
+            assert max(0.0, na + nb - 1.0) <= rep.hc_lb <= na * nb <= rep.hc_ub <= min(na, nb)
 
     def test_interval_ordered(self, rng):
         for _ in range(10):

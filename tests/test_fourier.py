@@ -118,6 +118,9 @@ class TestSpectrum:
             expected = np.zeros(1 << n)
             expected[1] = 1.0
             assert np.allclose(f.coeffs, expected, atol=1e-15)
+            for mask in range(1 << n):
+                value = f.coefficient(mask)
+                assert type(value) is float and value == float(f.coeffs[mask])
 
     def test_parseval(self, rng):
         for _ in range(20):

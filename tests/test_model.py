@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nisim.model
 from nisim import (
     DsbsInstance,
     collision_prob,
@@ -19,6 +20,7 @@ from nisim import (
 from nisim.errors import (
     DimensionMismatchError,
     DimensionRangeError,
+    NumericalConsistencyError,
     ParameterRangeError,
 )
 
@@ -67,6 +69,22 @@ class TestCollisionProb:
         for rho in (-0.9, -0.3, 0.0, 0.1, 0.5, 1.0, 1e-300):
             exact = fraction_collision_prob(n, a.words, b.words, rho)
             assert collision_prob(a, b, rho) == float(exact), rho
+
+    @pytest.mark.parametrize("level", [1, 4])
+    def test_spectral_check_catches_a_wrong_level_sum(self, rng, monkeypatch, level):
+        """A level sum off by 4 moves the spectral route away from the exact
+        value, and the two routes' check raises."""
+        products = nisim.model._level_products
+
+        def skewed(a, b):
+            levels = products(a, b)
+            levels[level] += 4.0
+            return levels
+
+        monkeypatch.setattr(nisim.model, "_level_products", skewed)
+        a, b = random_code(rng, 4, size=3), random_code(rng, 4, size=5)
+        with pytest.raises(NumericalConsistencyError, match="disagree"):
+            collision_prob(a, b, 0.5)
 
     def test_independent_case_factorizes(self, rng):
         a = random_code(rng, 5)

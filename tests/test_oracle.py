@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -51,13 +52,17 @@ class TestExhaustiveCollision:
     def test_witnesses_reproduce_reported_values(self):
         """The reported extreme, the integer optimum over the common
         denominator, is bit for bit the witness's correctly rounded value: on
-        every size pair at n <= 3 over a panel of rho, and at n = 4, rho 0.3."""
+        every size pair at n <= 3 over a panel of rho, and at n = 4, rho 0.3.
+        At n <= 3 it is also float of the witness's Fraction."""
         panel = (-1.0, -0.7, -0.5, -0.3, 0.0, 0.1, 0.3, 0.5, 0.9, 1.0)
         for n, rhos in ((1, panel), (2, panel), (3, panel), (4, (0.3,))):
             for m, n_second, rho in product(range(1, (1 << n) + 1), range(1, (1 << n) + 1), rhos):
                 res = exhaustive_extremes(n, m, n_second, rho)
                 assert res.max_q == collision_prob(*res.witness_max, rho), (n, m, n_second, rho)
                 assert res.min_q == collision_prob(*res.witness_min, rho), (n, m, n_second, rho)
+                if n <= 3:
+                    for value, (a, b) in ((res.max_q, res.witness_max), (res.min_q, res.witness_min)):
+                        assert value == float(fraction_collision_prob(n, a.words, b.words, rho))
 
     def test_witnesses_are_jointly_canonical(self, extremes_cache):
         res = extremes_cache(3, 3, 5, 0.5)
@@ -153,8 +158,10 @@ class TestExhaustiveCollision:
 # objective, as produced by scoring every representative against all
 # C(2^n, n2) second codes.  Re-recorded when the agreement extremes became
 # the exact kernel sums rounded once: 245 values moved (by a few ulp), no
-# witness or count did.
-EXHAUSTIVE_PANEL_SHA256 = "f90b8715d645bb68b40dd2e2cfc53cce1f923c3d07a7725fe50557a62be524c3"
+# witness or count did.  Re-recorded when the average distances became the
+# witness's distance sum over m * n2 rounded once: 26 values moved by 1 ulp,
+# no witness or count did.
+EXHAUSTIVE_PANEL_SHA256 = "af15880b2bc8f5a534fc90bf060bf10c8134b8b913c3ef6762ced4fdfd4c11c7"
 
 
 def test_exhaustive_outputs_are_pinned():
@@ -172,11 +179,13 @@ def test_exhaustive_outputs_are_pinned():
 
 # sha256 of the same dump over every size pair at n = 4, at rho 0.3, at rho 0
 # (where every pair ties) and for the distance objective (rho None).  The
-# rho 0.3 entry was re-recorded with the panel above: 211 values moved.
+# rho 0.3 entry was re-recorded with the panel above: 211 values moved.  The
+# None entry was re-recorded when the panel's average distances were: 135
+# values moved by 1 ulp, no witness or count did.
 EXHAUSTIVE_N4_SHA256 = {
     0.3: "55ef9e4cdb340e8cf379eb4e9e809d3a7e00edc32b3417d25136ebe9d1c1a51b",
     0.0: "58e8cab8be450dd7844ac31745afc650fa836faf13c2b7e372142997cbd79b2d",
-    None: "8c10c66681190895e17516f29f502ad76b9f5dae0d68ab2cff15fd0e33973651",
+    None: "255ca2069ad486d8702d2cb7f14aa8a33ef860b58bee42622a535a51d1be38cb",
 }
 
 
@@ -354,10 +363,18 @@ class TestExhaustiveDistance:
                 assert abs(res.min_d - best_min) <= 1e-12
 
     def test_witnesses_reproduce_values(self):
+        """Every extreme at n <= 4 is bit for bit float of the witness's
+        Fraction: its summed distance over m * n2."""
         res = exhaustive_distance_extremes(3, 3, 4)
         wa, wb = res.witness_min
         d = distance_moment(distance_distribution(wa, wb), 1)
         assert abs(d - res.min_d) <= 1e-12
+        for n in (1, 2, 3, 4):
+            for m, n_second in product(range(1, (1 << n) + 1), repeat=2):
+                res = exhaustive_distance_extremes(n, m, n_second)
+                for value, (a, b) in ((res.max_d, res.witness_max), (res.min_d, res.witness_min)):
+                    total = sum(bin(x ^ y).count("1") for x in a.words for y in b.words)
+                    assert value == float(Fraction(total, m * n_second)), (n, m, n_second)
 
     def test_objective_field(self):
         res = exhaustive_distance_extremes(2, 2, 2)
