@@ -236,17 +236,17 @@ class TestVerifyCommand:
             "21e49cdcb64b13c8a97bfc4e829049430c90a391e2263e4b62583f6a988e4202",
         ),
         (
-            # the same warning as a text line
-            ("bounds", "--a", "0", "--b", "0.3", "--rho", "0.5", "--format", "text"),
-            "0a35bf36aceaaf04d19de49545405ded902e4ba84eee89985606f16897d390c6",
-        ),
-        (
             ("oracle", "--n", "3", "--m", "3", "--n2", "4", "--rho", "0.3", "--output", "-"),
             "a66787300d9c75a1d518a0d93ed98afc17431e0c0a5bc22b4fe5b7eb12d146ff",
         ),
         (
             ("oracle", "--n", "3", "--m", "3", "--n2", "4", "--objective", "distance", "--output", "-"),
             "ac4d962c5ebd2d13b18f598bc0c95096cfff49847fd7e4f3e863a0f17527d683",
+        ),
+        (
+            # the same warning as a text line
+            ("bounds", "--a", "0", "--b", "0.3", "--rho", "0.5", "--format", "text"),
+            "0a35bf36aceaaf04d19de49545405ded902e4ba84eee89985606f16897d390c6",
         ),
     ],
 )
