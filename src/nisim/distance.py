@@ -101,17 +101,26 @@ def _level_products(a: BinaryCode, b: BinaryCode) -> np.ndarray:
     By Parseval the absolute products total at most 2^n sqrt(|A| |B|) <= 4^n,
     so every partial sum is an exact integer below 2^53 whatever its order
     (n <= ``MAX_TRANSFORM_DIM``).  A self pair (equal codes) transforms its
-    one table and squares it in place, which gives the same integers.
+    one table and squares it in place, which gives the same integers.  The
+    sums must be integers totalling 2^n |A & B| (Parseval), the overlap
+    counted from the untransformed tables (|A| for a self pair).
     """
     if a == b:
-        prods = fwht(a.indicator())
+        overlap, prods = a.size, fwht(a.indicator())
         prods *= prods
     else:
         # Both tables before either transform: one freed in between cost 18x the page faults.
         x, y = a.indicator(), b.indicator()
+        overlap = np.count_nonzero(x & y)
         prods = fwht(x)
         prods *= fwht(y)
-    return np.bincount(_weights(a.n), weights=prods)
+    sums = np.bincount(_weights(a.n), weights=prods)
+    levels = sums.tolist()
+    if not all(v.is_integer() for v in levels):
+        raise NumericalConsistencyError(f"transform level sums {levels} are not all integers")
+    if sum(levels) != overlap << a.n:
+        raise NumericalConsistencyError(f"level sums {levels} do not total 2^{a.n} |A & B|")
+    return sums
 
 
 @functools.cache
@@ -127,13 +136,10 @@ def _krawtchouk(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _transform_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
-    """Distance counts c_d = sum over k of K[d][k] L_k / 2^n, from the level
-    sums L_k of the two indicators' transform products, in integers."""
-    levels = _level_products(a, b).tolist()
-    if not all(v.is_integer() for v in levels):
-        raise NumericalConsistencyError(f"transform level sums {levels} are not all integers")
-    sums = [int(v) for v in levels]
+def _transform_counts(a: BinaryCode, b: BinaryCode, levels: np.ndarray | None = None) -> np.ndarray:
+    """Distance counts c_d = sum over k of K[d][k] L_k / 2^n, in integers, from the
+    level sums L_k of ``_level_products(a, b)``, or ``levels`` if already at hand."""
+    sums = [int(v) for v in (_level_products(a, b) if levels is None else levels).tolist()]
     scaled = [sum(kd * lk for kd, lk in zip(row, sums)) for row in _krawtchouk(a.n)]
     if any(c % (1 << a.n) for c in scaled):
         raise NumericalConsistencyError(
@@ -142,24 +148,26 @@ def _transform_counts(a: BinaryCode, b: BinaryCode) -> np.ndarray:
     return np.array([c >> a.n for c in scaled], dtype=np.int64)
 
 
+def _counted_pairwise(a: BinaryCode, b: BinaryCode) -> bool:
+    """Whether A x B is counted pair by pair: up to max(n 2^n / 8, 2^13) pairs, the
+    transform path's cost (one BLAS thread: crossovers at 8k-47k pairs for n <= 14,
+    0.1-0.2 n 2^n above), and never past ``PAIRWISE_LIMIT``."""
+    return a.size * b.size <= min(PAIRWISE_LIMIT, max(a.n << a.n >> 3, 1 << 13))
+
+
 def distance_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DistanceDistribution:
     """Distribution of Hamming distance over all pairs in A x B (B defaults to A).
 
-    Pairs are counted one by one when that is cheaper than the transform
-    path, which costs about as much as n 2^n / 8 pairs and, for its fixed
-    overhead, at least as much as 2^13 pairs (with one BLAS thread the
-    crossovers were 8k-47k pairs at n <= 14 and 0.1-0.2 n 2^n above); past
-    ``PAIRWISE_LIMIT`` pairs never.  The transform path needs the
-    transform-feasible dimension range: it sums the products of the two
-    indicators' transforms by mask weight and maps those n + 1 integer level
-    sums to counts by the Krawtchouk (MacWilliams) transform, in exact
-    integers.  Both paths give exact counts.
+    Pairs are counted one by one while that is cheaper (``_counted_pairwise``),
+    else, at n <= ``MAX_TRANSFORM_DIM``, from the n + 1 integer level sums of the
+    two indicators' transform products by the Krawtchouk (MacWilliams)
+    transform, in exact integers.  Both paths give exact counts.
     """
     if b is None:
         b = a
     if a.n != b.n:
         raise DimensionMismatchError(f"code dimensions differ: {a.n} vs {b.n}")
-    if a.size * b.size <= min(PAIRWISE_LIMIT, max(a.n << a.n >> 3, 1 << 13)):
+    if _counted_pairwise(a, b):
         counts = _pairwise_counts(a, b)
     else:
         if a.n > MAX_TRANSFORM_DIM:
@@ -216,8 +224,8 @@ def dual_distribution(a: BinaryCode, b: BinaryCode | None = None) -> DualDistrib
         )
     sums = _level_products(a, b)
     q = [1.0] + (sums[1:] / (a.size * b.size)).tolist()
-    if a == b and (sums.min() < 0 or sums.sum() != a.size << a.n):
-        raise NumericalConsistencyError(f"self level sums {sums} not >= 0 with total 2^{a.n} |A|")
+    if a == b and sums.min() < 0:
+        raise NumericalConsistencyError(f"self level sums {sums} are not all >= 0")
     return DualDistribution(a.n, tuple(q))
 
 

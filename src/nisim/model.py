@@ -16,7 +16,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .codes import MAX_TRANSFORM_DIM, BinaryCode
-from .distance import _level_products, distance_distribution
+from .distance import _counted_pairwise, _level_products, _transform_counts, distance_distribution
 from .errors import (
     DimensionMismatchError,
     DimensionRangeError,
@@ -86,28 +86,30 @@ def collision_prob(a: BinaryCode, b: BinaryCode, rho: float) -> float:
     """P(X in A, Y in B) for the correlated pair at correlation rho.
 
     The exact sum of c_d W_d / D over the distance counts c_d, rounded once.
-    The counts are read back exactly from the distance distribution (at most
-    2^48 pairs at n <= 24, ``PAIRWISE_LIMIT`` above).  Checked against the
-    independent spectral route (mean product plus correlation-weighted level
-    sums of the 0/1 indicators' transform products over 4^(n-1)) whenever the
-    transform is feasible; the two must agree to 1e-9.
+    At n <= ``MAX_TRANSFORM_DIM`` the 0/1 indicators' level sums are taken once:
+    the transform path's counts come from them, and pairwise counts are read
+    back exactly from the distance distribution (at most 2^48 pairs at n <= 24,
+    ``PAIRWISE_LIMIT`` above).  The sums also give the spectral route, mean
+    product plus rho-weighted level sums over 4^(n-1); the two agree to 1e-9.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"code dimensions differ: {a.n} vs {b.n}")
     rho = as_real("correlation", rho, -1.0, 1.0)
     n = a.n
     pairs = a.size * b.size
-    counts = [round(p * pairs) for p in distance_distribution(a, b).p]
+    levels = _level_products(a, b) if n <= MAX_TRANSFORM_DIM else None
+    if levels is None or _counted_pairwise(a, b):
+        counts = [round(p * pairs) for p in distance_distribution(a, b).p]
+    else:
+        counts = _transform_counts(a, b, levels).tolist()
     if sum(counts) != pairs:
         raise NumericalConsistencyError(f"distance counts {counts} do not sum to {pairs}")
     weights, scale = _pair_weights(n, rho)
     q = sum(c * w for c, w in zip(counts, weights) if c) / scale
 
-    if n <= MAX_TRANSFORM_DIM:
-        dens = a.density * b.density
-        sums = _level_products(a, b) / 4 ** (n - 1)
-        theta = theta_from_levels(LevelSums(n, tuple(sums.tolist())), rho)
-        q_spec = dens + theta
+    if levels is not None:
+        sums = LevelSums(n, tuple((levels / 4 ** (n - 1)).tolist()))
+        q_spec = a.density * b.density + theta_from_levels(sums, rho)
         if abs(q - q_spec) > _PATH_TOL:
             raise NumericalConsistencyError(
                 f"distance path {q!r} and spectral path {q_spec!r} disagree"

@@ -9,6 +9,7 @@ import pytest
 import nisim.distance
 from nisim import (
     chang_bound,
+    collision_prob,
     complement,
     cross_distance_bounds,
     distance_distribution,
@@ -28,7 +29,13 @@ from nisim import (
     subcube,
 )
 from nisim.codes import MAX_TRANSFORM_DIM
-from nisim.distance import _krawtchouk, _pairwise_counts, _psi_objective, _transform_counts
+from nisim.distance import (
+    _counted_pairwise,
+    _krawtchouk,
+    _pairwise_counts,
+    _psi_objective,
+    _transform_counts,
+)
 from nisim.errors import (
     DimensionMismatchError,
     DimensionRangeError,
@@ -132,6 +139,31 @@ class TestDistanceDistribution:
         with pytest.raises(NumericalConsistencyError, match="not all multiples"):
             distance_distribution(a, b)
 
+    def test_coefficient_off_by_2n_is_caught(self, rng, monkeypatch):
+        """A's transform off by 2^n at one weight-1 mask moves L_1 by 2^n F_B(mask).
+        The counts stay integers, divisible by 2^n, with total |A| |B|; only the
+        Parseval total 2^n |A & B| sees the fault, on every output that reads the
+        level sums."""
+        n = 12
+        a = random_code(rng, n, size=512)
+        b = random_code(rng, n, size=512)
+        assert not _counted_pairwise(a, b)
+        mask = next(1 << i for i in range(n) if fwht(b.indicator())[1 << i] != 0)
+        first = a.indicator()
+
+        def skewed(values):
+            out = fwht(values)
+            if np.array_equal(values, first):
+                out[mask] += 1 << n
+            return out
+
+        monkeypatch.setattr(nisim.distance, "fwht", skewed)
+        message = f"do not total 2\\^{n} \\|A & B\\|"
+        collision = lambda x, y: collision_prob(x, y, 0.5)
+        for call in (distance_distribution, dual_distribution, collision):
+            with pytest.raises(NumericalConsistencyError, match=message):
+                call(a, b)
+
     def test_moments(self):
         code = subcube(3, 1)
         dist = distance_distribution(code, complement(code))
@@ -219,18 +251,19 @@ class TestDualDistribution:
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_product_off_by_four_is_caught(self, rng, monkeypatch, n):
-        """One transform product off by 4 moves its level sum by 4, so a self
-        pair's level sums no longer total 2^n |A| (Parseval)."""
-        products = nisim.distance._level_products
-
-        def skewed(a, b):
-            levels = products(a, b)
-            levels[3] += 4.0
-            return levels
-
-        monkeypatch.setattr(nisim.distance, "_level_products", skewed)
+        """A zero transform coefficient at weight 3 set to 2 makes its squared
+        product 4, so a self pair's level sums no longer total 2^n |A| (Parseval)."""
         a = random_code(rng, n, size=100)
-        with pytest.raises(NumericalConsistencyError, match=f"total 2\\^{n} \\|A\\|"):
+        coeffs = fwht(a.indicator())
+        mask = next(s for s in range(1 << n) if s.bit_count() == 3 and coeffs[s] == 0)
+
+        def skewed(values):
+            out = fwht(values)
+            out[mask] += 2.0
+            return out
+
+        monkeypatch.setattr(nisim.distance, "fwht", skewed)
+        with pytest.raises(NumericalConsistencyError, match=f"total 2\\^{n} \\|A & B\\|"):
             dual_distribution(a, a)
 
     def test_dual_enumerator_at_one_accumulates_all_mass(self):

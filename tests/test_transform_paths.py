@@ -1,6 +1,6 @@
 """Bits, memory and transform counts of the transform paths at n = 12
 (pairwise distance counting) and n = 16 (distance counts from transform level
-sums).
+sums), and exact agreement values on the transform path at n = 14.
 
 The digests pin every output byte of the spectral and distance layers, so a
 reordered sum, a shortcut that flips a signed zero or a changed rounding shows
@@ -10,6 +10,7 @@ out-of-place transform; a deliberate change of the arithmetic re-records them.
 
 import hashlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,11 +22,14 @@ from nisim import (
     dual_distribution,
     exhaustive_extremes,
     fwht,
+    hamming_ball,
     joint_cells,
     level_sums,
     make_code,
     spectrum,
+    subcube,
 )
+from nisim.distance import _counted_pairwise
 
 # Code sizes: the 64 x 100 pairs at n = 12 are counted one by one, the
 # 3000 x 5000 at n = 16 through the transform.  The n = 12 pair was 256 x 200
@@ -105,6 +109,7 @@ def peak_arrays(call, n):
         ("spectrum", 2),
         ("distance_distribution", 3),
         ("collision_prob", 3),
+        ("joint_cells", 3),
         ("dual_distribution", 3),
     ],
 )
@@ -115,6 +120,7 @@ def test_peak_memory_at_n16(name, arrays):
         "spectrum": lambda: spectrum(a),
         "distance_distribution": lambda: distance_distribution(a, b),
         "collision_prob": lambda: collision_prob(a, b, 0.3),
+        "joint_cells": lambda: joint_cells(a, b, 0.3),
         "dual_distribution": lambda: dual_distribution(a, b),
     }[name]
     assert peak_arrays(call, n) < arrays + 0.5
@@ -131,8 +137,11 @@ def self_pair(n, size):
 
 
 # Public fwht calls per call: one 0/1-indicator product counts distances by
-# transform, gives the dual at every n, and gives the spectral check of
-# collision_prob; a self pair transforms its one table once and squares it.
+# transform and gives the dual at every n.  collision_prob takes it once at
+# n <= 24: on the transform path its counts and its spectral check read the
+# same level sums (it took 4 transforms, 2 for a self pair, when the counts
+# came from distance_distribution); on the pairwise path only the check
+# reads them.  A self pair transforms its one table once and squares it.
 @pytest.mark.parametrize(
     "name, call, transforms",
     [
@@ -143,8 +152,10 @@ def self_pair(n, size):
         ("dual self at n = 10", lambda: dual_distribution(*self_pair(10, 64)), 1),
         ("distance self by transform", lambda: distance_distribution(*self_pair(12, 256)), 1),
         ("collision pairwise", lambda: collision_prob(*random_pair(12, 64, 100), 0.3), 2),
-        ("collision by transform", lambda: collision_prob(*random_pair(12, 256, 200), 0.3), 4),
-        ("collision self by transform", lambda: collision_prob(*self_pair(12, 256), 0.3), 2),
+        ("collision by transform", lambda: collision_prob(*random_pair(12, 256, 200), 0.3), 2),
+        ("collision self by transform", lambda: collision_prob(*self_pair(12, 256), 0.3), 1),
+        ("collision at n = 14", lambda: collision_prob(*random_pair(14, 300, 8192), 0.3), 2),
+        ("joint_cells by transform", lambda: joint_cells(*random_pair(12, 256, 200), 0.3), 2),
         ("collision at n = 30", lambda: collision_prob(*random_pair(30, 64, 100), 0.3), 0),
         ("exhaustive", lambda: exhaustive_extremes(3, 3, 4, 0.3), 0),
         ("exhaustive distance", lambda: exhaustive_extremes(3, 3, 4, None, "distance"), 0),
@@ -162,3 +173,31 @@ def test_transform_counts(monkeypatch, name, call, transforms):
             monkeypatch.setattr(module, "fwht", counted)
     call()
     assert len(calls) == transforms
+
+
+def reference_q(a, b, rho):
+    """Exact agreement from distance counts by a plain XOR popcount over all
+    pairs, each pair weighted by (den - num)^d (den + num)^(n - d) / (4 den)^n."""
+    n = a.n
+    aw = np.array(a.words, dtype=np.uint64)
+    bw = np.array(b.words, dtype=np.uint64)
+    counts = np.bincount(np.bitwise_count(aw[:, None] ^ bw[None, :]).ravel(), minlength=n + 1)
+    num, den = rho.as_integer_ratio()
+    total = sum(int(c) * (den - num) ** d * (den + num) ** (n - d) for d, c in enumerate(counts))
+    return float(Fraction(total, (4 * den) ** n))
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [lambda: random_pair(14, 300, 8192), lambda: (subcube(14, 4), hamming_ball(14, 0b1011, 3))],
+    ids=["random 300 x 8192", "subcube and ball"],
+)
+@pytest.mark.parametrize("rho", [0.3, -0.7, 0.95])
+def test_transform_path_matches_an_independent_count(pair, rho):
+    a, b = pair()
+    assert not _counted_pairwise(a, b)
+    q = reference_q(a, b, rho)
+    assert collision_prob(a, b, rho) == q
+    cells = joint_cells(a, b, rho)
+    assert (cells.q_pp, cells.q_pm, cells.q_mp) == (q, a.density - q, b.density - q)
+    assert cells.q_mm == 1.0 - a.density - b.density + q
