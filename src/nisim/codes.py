@@ -15,6 +15,7 @@ lexicographic maximum of (key of a, key of b) under one group element.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import operator
@@ -63,9 +64,9 @@ class BinaryCode:
                 if w <= prev:
                     raise WordRangeError("words must be strictly increasing")
                 prev = w
-        array = np.array(words, dtype=np.uint64)
-        array.setflags(write=False)
-        self.__dict__.update(n=n, _array=array, _words=tuple(words))
+        arr = np.array(words, dtype=np.uint64)
+        arr.setflags(write=False)
+        self.__dict__.update(n=n, _array=arr, _words=tuple(words))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -111,25 +112,25 @@ class BinaryCode:
         return f"BinaryCode(n={self.n!r}, words={self.words!r})"
 
 
-def _code(n: int, array: np.ndarray) -> BinaryCode:
+def _code(n: int, arr: np.ndarray) -> BinaryCode:
     """A code of a sorted, duplicate-free uint64 array of words below 2^n."""
-    array.setflags(write=False)
+    arr.setflags(write=False)
     code = object.__new__(BinaryCode)
-    code.__dict__.update(n=n, _array=array, _words=None)
+    code.__dict__.update(n=n, _array=arr, _words=None)
     return code
 
 
 def make_code(n: int, words) -> BinaryCode:
     """Build a code from an iterable of words, each coerced with ``int``, sorted
-    and deduplicated.  Words past int64, non-integer arrays and faults go word by
-    word through ``BinaryCode``'s check, which names the first fault."""
+    and deduplicated.  Non-int words, words outside [0, 2^64), non-integer arrays
+    and faults go word by word through ``BinaryCode``'s check, naming the first."""
     n = as_integer("dimension", n, 1, MAX_DIM, DimensionRangeError)
     if not isinstance(words, (list, tuple, np.ndarray)):
         words = list(words)
     try:
-        # fromiter applies int() to each Python word; an array keeps its dtype.
+        # array.array reads ints below 2^64 at C speed; an array keeps its dtype.
         arr = (np.array(words) if isinstance(words, np.ndarray)
-               else np.fromiter(words, np.int64, len(words)))
+               else np.frombuffer(array.array("Q", words), np.uint64))
     except (OverflowError, TypeError, ValueError):
         arr = None
     if arr is not None and arr.ndim == 1 and arr.size and arr.dtype.kind in "biu":

@@ -4,7 +4,8 @@
 the cube; ``level_sums`` aggregates coefficient products of two codes by
 character weight.  Those level sums carry the correlation dependence of the
 agreement probability: weighting level k by rho^k recovers the covariance term
-directly (see :func:`theta_from_levels`).
+directly (see :func:`theta_from_levels`).  ``fwht`` takes integer tables with
+max|v| len <= 2^24 in float32, exactly: its partial sums are signed sub-sums.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ _MAX_COLUMNS = 128
 
 
 @functools.cache
-def _hadamard(k: int) -> np.ndarray:
+def _hadamard(k: int, dtype: np.dtype) -> np.ndarray:
     """The 2^k x 2^k matrix with entry (i, j) = (-1)^popcount(i & j); read-only."""
     idx = np.arange(1 << k)
-    h = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1)
+    h = (1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1)).astype(dtype)
     h.flags.writeable = False
     return h
 
@@ -53,15 +54,21 @@ def fwht(values: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform with the (-1)^(popcount(mask & word)) kernel.
 
     Returns a transformed float64 copy; applying it twice multiplies by len(values).
-    Every product is +-1 times an input, so on integer-valued input (below
-    2^53 in magnitude) the result is exact whatever the summation order.
+    Each partial sum is a signed sub-sum of the inputs, at most sum |v|, so integer
+    tables are exact in any order: in float32 if max|v| len <= 2^24, else below 2^53.
     """
-    return _transform(np.array(values, dtype=np.float64))
+    values = np.asarray(values)
+    # An integer dtype bounds max|v| by 2^(8 itemsize): short tables need no scan.
+    single = values.dtype.kind in "biu" and (values.size << 8 * values.itemsize <= 1 << 24 or
+        values.size * max(int(values.max(initial=0)), -int(values.min(initial=0))) <= 1 << 24)
+    out = _transform(values.astype(np.float32 if single else np.float64))
+    return out.astype(np.float64, copy=False)
 
 
 def _transform(values: np.ndarray) -> np.ndarray:
-    """``fwht`` of a float64 array the caller gives up: passes alternate between
-    it and one scratch array, and whichever holds the result is returned."""
+    """``fwht`` of a float array the caller gives up; passes alternate between it and
+    one scratch array of its dtype.  float32 is exact on integers with sum |v| <= 2^24,
+    as every partial sum is a signed sub-sum of the inputs."""
     if values.ndim != 1:
         raise ParameterRangeError(f"transform input must be 1-D, got shape {values.shape}")
     size = values.shape[0]
@@ -69,7 +76,7 @@ def _transform(values: np.ndarray) -> np.ndarray:
         raise ParameterRangeError(f"transform length must be a power of two, got {size}")
     bits = size.bit_length() - 1
     passes = max(1, -(-bits // _BLOCK_BITS))
-    src, dst = values, np.empty(size)
+    src, dst = values, np.empty_like(values)
     low = 0
     for i in range(passes):
         # Blocks as even as possible, largest first: a lone 1- or 2-bit pass
@@ -79,14 +86,14 @@ def _transform(values: np.ndarray) -> np.ndarray:
             # The lowest bits index rows: multiply 128-row blocks from the right
             # (the matrix is symmetric).
             shape = (-1, min(size >> k, _MAX_COLUMNS), 1 << k)
-            np.matmul(src.reshape(shape), _hadamard(k), out=dst.reshape(shape))
+            np.matmul(src.reshape(shape), _hadamard(k, values.dtype), out=dst.reshape(shape))
         else:
             # Bits low..low+k-1 index the middle axis of (high, 2^k, low);
             # the low axis is cut into blocks of at most 128 columns.
             width = min(1 << low, _MAX_COLUMNS)
             shape = (size >> (low + k), 1 << k, (1 << low) // width, width)
             np.matmul(
-                _hadamard(k),
+                _hadamard(k, values.dtype),
                 src.reshape(shape).swapaxes(1, 2),
                 out=dst.reshape(shape).swapaxes(1, 2),
             )

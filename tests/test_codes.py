@@ -136,6 +136,20 @@ class TestConstruction:
         assert code == BinaryCode(4, (0, 3, 9))
         assert all(type(w) is int for w in code.words)
 
+    @pytest.mark.parametrize("n", [20, 63, 64])
+    def test_word_lists_match_the_word_by_word_route(self, n):
+        """Lists and tuples of Python ints, duplicates and words from 2^63 up
+        included, give the code BinaryCode builds from the sorted set."""
+        rng = np.random.default_rng(n)
+        words = [int(w) >> (64 - n) for w in rng.integers(0, 1 << 64, 4096, dtype=np.uint64)]
+        words += words[:100]
+        reference = BinaryCode(n, tuple(sorted(set(words))))
+        for container in (list, tuple):
+            code = make_code(n, container(words))
+            assert code == reference and code.words == reference.words
+            assert code.word_array().dtype == np.uint64
+            assert not code.word_array().flags.writeable
+
     def test_make_code_truncates_float_words(self):
         assert make_code(3, [2.7]).words == (2,)
         assert make_code(3, [-0.5, 1]).words == (0, 1)

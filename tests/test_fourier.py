@@ -1,5 +1,6 @@
 """Transform identities: self-inversion, Parseval, level sums, tail splits."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nisim.fourier
 from nisim import (
     collision_prob,
     distance_distribution,
@@ -23,6 +25,18 @@ from nisim.errors import DimensionMismatchError, ParameterRangeError
 from nisim.fourier import _hadamard, _transform
 
 from conftest import radix2_fwht, random_code
+
+
+def spy_on_routes(monkeypatch):
+    """Record the dtype each fwht call hands to the transform kernel."""
+    routes = []
+
+    def spy(values):
+        routes.append(values.dtype)
+        return _transform(values)
+
+    monkeypatch.setattr(nisim.fourier, "_transform", spy)
+    return routes
 
 
 class TestFwht:
@@ -96,10 +110,37 @@ class TestFwht:
         err = np.max(np.abs(fwht(values) - radix2_fwht(values)))
         assert err <= 1e-15 * np.abs(values).sum()
 
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_integer_tables_match_float64_bit_for_bit(self, rng, monkeypatch, n):
+        """0/1 and +-1 tables take the float32 route and give the float64
+        route's bytes, signed zeros included, in a fresh float64 array."""
+        routes = spy_on_routes(monkeypatch)
+        bits = rng.integers(0, 2, 1 << n, dtype=np.int8)
+        for table in (bits, 2 * bits - 1, bits.astype(bool), bits.astype(np.uint8)):
+            got = fwht(table)
+            assert got.dtype == np.float64 and got.flags.writeable and got.flags.c_contiguous
+            assert not np.shares_memory(got, table)
+            assert got.tobytes() == fwht(table.astype(np.float64)).tobytes()
+        assert routes == [np.float32, np.float64] * 4
+
+    def test_float32_route_up_to_its_bound(self, monkeypatch):
+        """Entries 16 at n = 20 give F(empty) = 2^24, on the float32 route's
+        bound; one entry 17 takes the float64 route."""
+        routes = spy_on_routes(monkeypatch)
+        table = np.full(1 << 20, 16, dtype=np.int8)
+        edge = fwht(table)
+        assert edge[0] == 1 << 24 and not edge[1:].any()
+        table[12345] = 17
+        past = fwht(table)
+        assert past[0] == (1 << 24) + 1
+        assert routes == [np.float32, np.float64]
+        for values, got in ((np.full(1 << 20, 16.0), edge), (table.astype(np.float64), past)):
+            assert got.tobytes() == fwht(values).tobytes()
+
     def test_hadamard_blocks_are_read_only(self):
-        for k in range(6):
-            h = _hadamard(k)
-            assert h.shape == (1 << k, 1 << k)
+        for k, dtype in itertools.product(range(6), (np.float32, np.float64)):
+            h = _hadamard(k, np.dtype(dtype))
+            assert h.shape == (1 << k, 1 << k) and h.dtype == dtype
             with pytest.raises(ValueError):
                 h[0, 0] = 2.0
             assert np.array_equal(h @ h, (1 << k) * np.eye(1 << k))

@@ -99,10 +99,12 @@ def peak_arrays(call, n):
         tracemalloc.stop()
 
 
-# Before the in-place transform: spectrum 3.0, the transform path of
-# distance_distribution 5.0 and collision_prob 5.0 arrays; before level sums
-# straight from the transform products, collision_prob and dual_distribution
-# 4.0.
+# Ceilings on the peak, in arrays of 2^n doubles.  With float32 transforms of
+# the int8 tables the peaks are spectrum 1.63 and the others 2.75; float64
+# scratch gave 2.13 and 3.25, which fail.  Before the in-place transform:
+# spectrum 3.0, the transform path of distance_distribution 5.0 and
+# collision_prob 5.0 arrays; before level sums straight from the transform
+# products, collision_prob and dual_distribution 4.0.
 @pytest.mark.parametrize(
     "name, arrays",
     [
@@ -123,7 +125,7 @@ def test_peak_memory_at_n16(name, arrays):
         "joint_cells": lambda: joint_cells(a, b, 0.3),
         "dual_distribution": lambda: dual_distribution(a, b),
     }[name]
-    assert peak_arrays(call, n) < arrays + 0.5
+    assert peak_arrays(call, n) < arrays
 
 
 def random_pair(n, size_a, size_b):
