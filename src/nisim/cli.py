@@ -176,8 +176,7 @@ def cmd_oracle(args) -> int:
             continue
         summary.append(f"{label}={value!r}")
         if witness is not None:
-            wa = ",".join(str(w) for w in witness[0].words)
-            wb = ",".join(str(w) for w in witness[1].words)
+            wa, wb = (",".join([str(w) for w in code.words]) for code in witness)
             summary.append(f"  witness A=[{wa}] B=[{wb}]")
     summary.append(
         f"pairs_evaluated={result.pairs_evaluated} orbits={result.orbits_enumerated}"

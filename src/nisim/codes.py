@@ -297,9 +297,7 @@ def canonical_pair(a: BinaryCode, b: BinaryCode) -> tuple[BinaryCode, BinaryCode
 def format_code(code: BinaryCode) -> str:
     """Serialize: a ``n=<dim>`` header, then one word per line, 0/1 characters
     with the most significant coordinate first."""
-    lines = [f"n={code.n}"]
-    lines.extend(format(w, f"0{code.n}b") for w in code.words)
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"n={code.n}", *[bin(w)[2:].zfill(code.n) for w in code.words], ""])
 
 
 def parse_code(text: str) -> BinaryCode:

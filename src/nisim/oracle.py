@@ -21,6 +21,7 @@ witness, so it is a valid one-sided bound, nothing more.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -98,17 +99,19 @@ class OracleResult:
         return out
 
 
-def _orbit_reps(n: int, m: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _orbit_reps(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Lexicographically first member of each symmetry orbit of m-subsets of
-    the n-cube, in that order: each subset whose key is unseen opens an orbit."""
+    the n-cube, in that order: each subset whose key is unseen opens an orbit.
+    Memoized as immutable tuples, at most 30 keys as n <= MAX_EXHAUSTIVE_DIM:
+    scans at every rho, second size and objective share each (n, m)'s loop."""
     combos = list(itertools.combinations(range(1 << n), m))
     seen, reps = set(), []
     for combo, key in zip(combos, _key_bits(n, np.array(combos)).sum(axis=1).tolist()):
-        if key in seen:
-            continue
-        reps.append(combo)
-        seen.update(_orbit_keys(n, np.array([combo]))[0].tolist())
-    return reps
+        if key not in seen:
+            reps.append(combo)
+            seen.update(_orbit_keys(n, np.array([combo]))[0].tolist())
+    return tuple(reps)
 
 
 def _exact_kernel(n: int, weights: list[int] | None) -> np.ndarray:

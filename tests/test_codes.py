@@ -480,6 +480,7 @@ class TestSerialization:
     def test_format_is_msb_first(self):
         assert format_code(make_code(3, [4])) == "n=3\n100\n"
         assert format_code(make_code(3, [1])) == "n=3\n001\n"
+        assert format_code(make_code(64, [0, 2**64 - 1])) == f"n=64\n{'0' * 64}\n{'1' * 64}\n"
 
     def test_round_trip_examples(self):
         code = make_code(4, [0, 5, 9, 15])

@@ -24,6 +24,7 @@ from nisim import (
     local_search,
     make_code,
     subcube,
+    symmetry_group,
 )
 from nisim.errors import (
     DimensionRangeError,
@@ -336,12 +337,61 @@ def test_top_equals_stable_argsort_on_ties(rng):
         assert np.array_equal(oracle._top(scores, m), expected), m
 
 
+def burnside_orbit_count(n, m):
+    """Orbits of m-subsets of the n-cube by Burnside's lemma: the mean over
+    the group of the x^m coefficient of prod(1 + x^len) over the cycle lengths
+    of each element's action on the words, with the element applied word by
+    word."""
+    total = 0
+    for g in symmetry_group(n):
+        image, seen, poly = [g.apply(w) for w in range(1 << n)], set(), [1]
+        for w in range(1 << n):
+            length = 0
+            while w not in seen:
+                seen.add(w)
+                w, length = image[w], length + 1
+            if length:
+                poly = [a + (poly[i - length] if i >= length else 0)
+                        for i, a in enumerate(poly + [0] * length)]
+        total += poly[m]
+    assert total % len(symmetry_group(n)) == 0
+    return total // len(symmetry_group(n))
+
+
 class TestOrbitRepresentatives:
     @pytest.mark.parametrize(
         "n,m", [(n, m) for n in (1, 2, 3) for m in range(1, (1 << n) + 1)] + [(4, 4), (4, 8)]
     )
     def test_match_brute_force_orbit_minima(self, n, m):
-        assert _orbit_reps(n, m) == brute_orbit_minima(n, m)
+        assert list(_orbit_reps(n, m)) == brute_orbit_minima(n, m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_counts_match_burnside(self, n):
+        """One representative per orbit at every size, counted independently;
+        over m >= 1 the totals are 2, 5, 21 and 401."""
+        counts = [len(_orbit_reps(n, m)) for m in range(1, (1 << n) + 1)]
+        assert counts == [burnside_orbit_count(n, m) for m in range(1, (1 << n) + 1)]
+        assert sum(counts) == {1: 2, 2: 5, 3: 21, 4: 401}[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_memo_is_one_immutable_value(self, n):
+        for m in range(1, (1 << n) + 1):
+            reps = _orbit_reps(n, m)
+            assert _orbit_reps(n, m) is reps
+            assert type(reps) is tuple and all(type(rep) is tuple for rep in reps)
+
+    @pytest.mark.parametrize(
+        "n,m,n_second,rho", [(3, 3, 5, 0.3), (4, 8, 8, 0.3), (4, 5, 11, -0.7), (4, 6, 4, None)]
+    )
+    def test_exhaustive_results_do_not_depend_on_the_memo(self, n, m, n_second, rho):
+        objective = "collision" if rho is not None else "distance"
+        _orbit_reps.cache_clear()
+        cold = exhaustive_extremes(n, m, n_second, rho, objective)
+        warm = exhaustive_extremes(n, m, n_second, rho, objective)
+        assert _orbit_reps.cache_info().hits >= 1
+        assert repr(dataclasses.replace(cold, wall_time_s=0.0)) == repr(
+            dataclasses.replace(warm, wall_time_s=0.0)
+        )
 
 
 class TestExhaustiveDistance:
